@@ -5,8 +5,10 @@
 // Readers are OPEN-loop: each operation has a scheduled arrival time and
 // its latency is measured from that schedule, not from the previous
 // completion — so a slow snapshot shows up as queueing delay instead of
-// silently slowing the request rate (no coordinated omission). Writers are
-// open-loop too, paced at 4x the reader interval; their latency is the
+// silently slowing the request rate (no coordinated omission). The offered
+// load is fixed, never calibrated from the run: each reader issues one
+// statement every kReaderInterval. Writers are open-loop too, paced at 4x
+// the reader interval; their latency is the
 // commit round trip through admission, the writer queue, the WAL group
 // fsync, and publication, measured from the same kind of schedule.
 //
@@ -47,6 +49,9 @@ using Clock = std::chrono::steady_clock;
 
 constexpr int kReaders = 4;
 constexpr int kWriters = 2;
+// One read per reader every 25 ms, whatever the build's latency, so runs of
+// different builds offer the same load.
+constexpr std::chrono::microseconds kReaderInterval{25000};
 
 double Percentile(std::vector<double>& ms, double p) {
   if (ms.empty()) return 0;
@@ -144,26 +149,19 @@ int Main(int argc, char** argv) {
     if (reads.size() == 4) break;
   }
 
-  // Calibrate the open-loop interval off a serial warmup: ~50% utilization
-  // per reader thread at the warmup latency.
-  double warm_ms = 0;
+  // One serial pass fills the plan cache, so phase A measures warm reads.
   {
     auto session = (*server)->Connect();
     for (const std::string& q : reads) {
-      Clock::time_point t0 = Clock::now();
       auto r = (*session)->Run(q);
       if (!r.ok()) {
         std::fprintf(stderr, "warmup failed: %s\n",
                      r.status().ToString().c_str());
         return 1;
       }
-      warm_ms +=
-          std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
     }
-    warm_ms /= static_cast<double>(reads.size());
   }
-  auto interval = std::chrono::microseconds(
-      std::max<int64_t>(200, static_cast<int64_t>(warm_ms * 2000)));
+  const auto interval = kReaderInterval;
   const int ops = std::max(40, static_cast<int>(300 * scale));
 
   auto run_readers = [&](PhaseStats* stats) {

@@ -18,7 +18,8 @@ MctDatabase::MctDatabase(std::unique_ptr<StorageEnv> env)
       attr_index_(std::make_shared<BPlusTree>(env_->pool())),
       tag_image_(std::make_shared<IndexMap>()),
       content_image_(std::make_shared<IndexMap>()),
-      attr_image_(std::make_shared<IndexMap>()) {
+      attr_image_(std::make_shared<IndexMap>()),
+      edge_counts_(std::make_shared<EdgeCounts>()) {
   auto doc = store_.CreateNode(xml::NodeKind::kDocument, "#document");
   assert(doc.ok());
   document_ = *doc;
@@ -35,6 +36,7 @@ MctDatabase::MctDatabase(const MctDatabase& o, bool write_through)
       tag_image_(o.tag_image_),
       content_image_(o.content_image_),
       attr_image_(o.attr_image_),
+      edge_counts_(o.edge_counts_),
       shard_map_(o.shard_map_),
       shard_count_(o.shard_count_),
       write_through_(write_through) {
@@ -90,6 +92,13 @@ void MctDatabase::ImageErase(std::shared_ptr<IndexMap>* image, uint64_t key,
   }
 }
 
+MctDatabase::EdgeCounts& MctDatabase::OwnEdgeCounts() {
+  if (edge_counts_.use_count() > 1) {
+    edge_counts_ = std::make_shared<EdgeCounts>(*edge_counts_);
+  }
+  return *edge_counts_;
+}
+
 const std::vector<NodeId>* MctDatabase::ImageFind(const IndexMap& image,
                                                   uint64_t key) {
   auto it = image.find(key);
@@ -131,8 +140,12 @@ Status MctDatabase::AddNodeColor(NodeId node, ColorId color, NodeId parent,
   shard_map_.reset();
   MCT_RETURN_IF_ERROR(trees_[color]->InsertChild(parent, node, before));
   store_.AddColor(node, color);
-  if (store_.Kind(node) == xml::NodeKind::kElement) {
+  if (IsElement(node)) {
     ImageInsert(&tag_image_, TagKey(color, store_.Name(node)), node);
+    if (IsElement(parent)) {
+      ++OwnEdgeCounts()[EdgeKey{color, store_.Name(parent),
+                                store_.Name(node)}];
+    }
     if (write_through_) {
       // Accounting mirror; a discarded trial clone can leave stale entries
       // behind, so B+Tree maintenance tolerates conflicts.
@@ -172,12 +185,37 @@ Status MctDatabase::RemoveNodeColor(NodeId node, ColorId color) {
   if (color >= trees_.size()) {
     return Status::InvalidArgument("unregistered color");
   }
+  // The element-to-element edges that leave `color` with the subtree: read
+  // before the detach unlinks them, uncounted only once it succeeds.
+  std::vector<EdgeKey> lost;
+  const ColoredTree* t = trees_[color].get();
+  if (node != document_ && t->Contains(node)) {
+    std::vector<std::pair<NodeId, NodeId>> stack{{t->Parent(node), node}};
+    while (!stack.empty()) {
+      auto [p, n] = stack.back();
+      stack.pop_back();
+      if (IsElement(p) && IsElement(n)) {
+        lost.push_back(EdgeKey{color, store_.Name(p), store_.Name(n)});
+      }
+      for (NodeId ch = t->FirstChild(n); ch != kInvalidNodeId;
+           ch = t->NextSibling(ch)) {
+        stack.emplace_back(n, ch);
+      }
+    }
+  }
   std::vector<NodeId> removed;
   shard_map_.reset();
   MCT_RETURN_IF_ERROR(trees_[color]->DetachSubtree(node, &removed));
+  if (!lost.empty()) {
+    EdgeCounts& counts = OwnEdgeCounts();
+    for (const EdgeKey& k : lost) {
+      auto it = counts.find(k);
+      if (it != counts.end() && --it->second == 0) counts.erase(it);
+    }
+  }
   for (NodeId n : removed) {
     store_.RemoveColor(n, color);
-    if (store_.Kind(n) == xml::NodeKind::kElement) {
+    if (IsElement(n)) {
       ImageErase(&tag_image_, TagKey(color, store_.Name(n)), n);
       if (write_through_) {
         Status s =

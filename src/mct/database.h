@@ -10,7 +10,9 @@
 //    (CreateElement / CreateFreeElement, a fresh identity) and next-color
 //    constructors (AddNodeColor, same identity gaining a color and tree
 //    relationships in it);
-//  * index-backed scans used by the physical query operators; and
+//  * index-backed scans used by the physical query operators;
+//  * per-color type counts (elements per tag, child edges per pair of
+//    tags), the statistics behind Section 5's quant(e, c); and
 //  * the storage statistics behind Table 1.
 //
 // A conventional XML database is the single-color special case, which is
@@ -199,6 +201,32 @@ class MctDatabase {
   /// Number of elements of `tag` in `color` (for planner selectivity).
   size_t TagCount(ColorId color, std::string_view tag) const;
 
+  // ---- Type counts (the inputs of Section 5's quant(e, c)) ----
+  //
+  // Both are kept current by AddNodeColor / RemoveNodeColor, through which
+  // every structural change passes, so a schema is a projection of them
+  // rather than a walk over every node. Pairs whose count is zero are
+  // absent.
+
+  /// Calls fn(color, tag, n) for every element type with n > 0 members in
+  /// `color` — the sizes of the tag image's posting lists.
+  template <typename Fn>
+  void ForEachElementCount(Fn&& fn) const {
+    for (const auto& [key, list] : *tag_image_) {
+      fn(static_cast<ColorId>(key >> 32), static_cast<NameId>(key),
+         static_cast<uint64_t>(list->size()));
+    }
+  }
+
+  /// Calls fn(color, parent tag, child tag, n) for every pair of element
+  /// types joined by n > 0 element-to-element child edges in `color`.
+  template <typename Fn>
+  void ForEachChildEdgeCount(Fn&& fn) const {
+    for (const auto& [key, n] : *edge_counts_) {
+      fn(key.color, key.parent, key.child, n);
+    }
+  }
+
   NodeStore* mutable_store() { return &store_; }
   const NodeStore& store() const { return store_; }
 
@@ -230,12 +258,34 @@ class MctDatabase {
   static uint64_t ValueKey(NameId name, uint32_t hash) {
     return (uint64_t{name} << 32) | hash;
   }
+  // Child-edge counts between element types, per color. Shared between
+  // versions like the index images and copied on a version's first write.
+  struct EdgeKey {
+    ColorId color;
+    NameId parent;
+    NameId child;
+    bool operator==(const EdgeKey&) const = default;
+  };
+  struct EdgeKeyHash {
+    size_t operator()(const EdgeKey& k) const {
+      return std::hash<uint64_t>()((TagKey(k.color, k.parent) << 16) ^
+                                   k.child);
+    }
+  };
+  using EdgeCounts = std::unordered_map<EdgeKey, uint64_t, EdgeKeyHash>;
+
   static void ImageInsert(std::shared_ptr<IndexMap>* image, uint64_t key,
                           NodeId n);
   static void ImageErase(std::shared_ptr<IndexMap>* image, uint64_t key,
                          NodeId n);
   static const std::vector<NodeId>* ImageFind(const IndexMap& image,
                                               uint64_t key);
+  /// This version's edge counts, privatized first when shared.
+  EdgeCounts& OwnEdgeCounts();
+
+  bool IsElement(NodeId n) const {
+    return store_.Kind(n) == xml::NodeKind::kElement;
+  }
 
   /// True when the node's content/attribute values are index-visible (it
   /// carries at least one color).
@@ -260,6 +310,7 @@ class MctDatabase {
   std::shared_ptr<IndexMap> tag_image_;
   std::shared_ptr<IndexMap> content_image_;
   std::shared_ptr<IndexMap> attr_image_;
+  std::shared_ptr<EdgeCounts> edge_counts_;
   // Immutable shard map shared across the MVCC lineage; any structural
   // mutation resets only this version's pointer (shard-local
   // invalidation), and EnsureShardMap rebuilds lazily. Null when

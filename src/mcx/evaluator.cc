@@ -278,17 +278,8 @@ Status Evaluator::MaybeAnalyze(const ParsedQuery& q) {
       MetricsRegistry::Global().counter("mct.analysis.visibility.rejected");
   runs->Inc();
 
-  const serialize::MctSchema* schema = opts_.schema;
-  if (schema == nullptr) {
-    if (inferred_schema_ == nullptr) {
-      inferred_schema_ =
-          std::make_unique<serialize::MctSchema>(serialize::InferSchema(*db_));
-    }
-    schema = inferred_schema_.get();
-  }
-
   AnalyzeOptions ao;
-  ao.schema = schema;
+  ao.schema = schema();
   ao.default_color = db_->ColorName(opts_.default_color);
   if (mask_on) {
     vis_runs->Inc();
@@ -447,6 +438,8 @@ Result<QueryResult> Evaluator::RunPlanned(const ParsedQuery& q,
     updates->Inc();
     Result<QueryResult> r = RunUpdate(q);
     active_plan_ = nullptr;
+    // Even a failed update may have applied some of its actions.
+    ForgetSchema();
     if (r.ok() && r->updated_count > 0 && opts_.plan_cache != nullptr &&
         opts_.cache_epoch == 0) {
       // Statistics (and any cached candidate counts) are stale now; cached
@@ -513,17 +506,18 @@ class DbStatsProvider : public query::StatsProvider {
 
 }  // namespace
 
+const serialize::MctSchema* Evaluator::schema() {
+  if (opts_.schema != nullptr) return opts_.schema;
+  if (inferred_schema_ == nullptr) {
+    inferred_schema_ =
+        std::make_unique<serialize::MctSchema>(serialize::InferSchema(*db_));
+  }
+  return inferred_schema_.get();
+}
+
 const ColorFlowGraph* Evaluator::flow_graph() {
   if (flow_graph_ == nullptr) {
-    const serialize::MctSchema* schema = opts_.schema;
-    if (schema == nullptr) {
-      if (inferred_schema_ == nullptr) {
-        inferred_schema_ = std::make_unique<serialize::MctSchema>(
-            serialize::InferSchema(*db_));
-      }
-      schema = inferred_schema_.get();
-    }
-    flow_graph_ = std::make_unique<ColorFlowGraph>(schema);
+    flow_graph_ = std::make_unique<ColorFlowGraph>(schema());
   }
   return flow_graph_.get();
 }
@@ -2314,6 +2308,7 @@ Result<std::vector<Item>> Evaluator::EvalExpr(const EvalCtx& c,
         return db_->RegisterColor(e.str);
       }());
       MCT_ASSIGN_OR_RETURN(auto items, EvalExpr(c, *e.children[0]));
+      ForgetSchema();
       for (const Item& it : items) {
         if (!it.is_node) continue;
         MCT_RETURN_IF_ERROR(AttachPending(it.node, color, db_->document()));

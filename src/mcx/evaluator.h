@@ -87,9 +87,9 @@ struct EvalOptions {
   /// Schema-aware static analysis (analysis.h) between parse and
   /// evaluation.
   AnalyzeMode analyze = AnalyzeMode::kOff;
-  /// Schema the analyzer checks against. Null infers one from the database
-  /// on first analyzed statement and caches it for the Evaluator's lifetime
-  /// (re-create the Evaluator, or pass a schema, after bulk loads).
+  /// Schema the analyzer checks against. Null projects one from the
+  /// database's type counts on first use and keeps it until a statement of
+  /// this Evaluator changes the database (an update or createColor).
   const serialize::MctSchema* schema = nullptr;
   /// When set, each analyzed statement's report (the EXPLAIN CHECK payload)
   /// is stored here, including when strict mode rejects the statement.
@@ -320,9 +320,16 @@ class Evaluator {
   /// color-flow cardinalities).
   std::vector<query::BindingDesc> BuildBindingDescs(
       const std::vector<Binding>& bindings);
-  /// Color-flow graph over opts_.schema (or a schema inferred on first
-  /// use), cached for the Evaluator's lifetime.
+  /// opts_.schema, or the schema projected from db_ on first use.
+  const serialize::MctSchema* schema();
+  /// Color-flow graph over schema(), cached alongside it.
   const ColorFlowGraph* flow_graph();
+  /// Drops the projected schema and its flow graph once a statement has
+  /// changed the database: the next use re-projects.
+  void ForgetSchema() {
+    inferred_schema_.reset();
+    flow_graph_.reset();
+  }
 
   /// Appends a plan-trace line when opts_.plan is set.
   void Note(std::string line) {
@@ -333,11 +340,11 @@ class Evaluator {
 
   MctDatabase* db_;
   EvalOptions opts_;
-  // Schema inferred from db_ on first analyzed statement (opts_.schema
-  // null); cached for the Evaluator's lifetime.
+  // Schema projected from db_ on first use (opts_.schema null); dropped by
+  // ForgetSchema.
   std::unique_ptr<serialize::MctSchema> inferred_schema_;
   // Color-flow graph for planner cardinality estimates; built lazily over
-  // opts_.schema or inferred_schema_.
+  // schema().
   std::unique_ptr<ColorFlowGraph> flow_graph_;
   // Plan for the statement currently entering execution; consumed (cleared)
   // by the first EvalFLWORBindings call so nested per-row FLWORs never see

@@ -78,7 +78,40 @@ class Parser {
   }
 
  private:
+  // Recursion cap. Every recursive path of the grammar re-enters through
+  // ParsePrimary (parentheses, predicates, calls, nested FLWORs, enclosed
+  // expressions) or ParseElementConstructor (nested literal constructors),
+  // so counting those two bounds the parser's stack and the depth of the
+  // tree the recursive analysis, printer and evaluator walk. The workload
+  // catalogs nest 4 levels at most.
+  static constexpr int kMaxNesting = 256;
+
+  /// Holds one nesting level for its scope.
+  class Nest {
+   public:
+    explicit Nest(int* depth) : depth_(depth) { ++*depth_; }
+    ~Nest() { --*depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    int* depth_;
+  };
+
   Status Err(const std::string& what) const {
+    return Status::ParseError(what + Where());
+  }
+
+  /// Refuses input nested past kMaxNesting: the statement is well formed
+  /// up to here but too deep to accept.
+  Status TooDeep() const {
+    return Status::InvalidArgument(
+        StrFormat("expression nested deeper than %d levels", kMaxNesting) +
+        Where());
+  }
+
+  /// " at line L col C near '...'" for the cursor.
+  std::string Where() const {
     LineCol lc = ResolveLineCol(in_, pos_);
     // Excerpt the upcoming input (up to the line end, clipped) so the
     // message carries the offending token, not just coordinates.
@@ -87,9 +120,8 @@ class Parser {
     if (cut == std::string_view::npos || cut > 24) cut = std::min<size_t>(rest.size(), 24);
     std::string near(rest.substr(0, cut));
     if (near.empty()) near = "<end of input>";
-    return Status::ParseError(StrFormat("%s at line %zu col %zu near '%s'",
-                                        what.c_str(), lc.line, lc.col,
-                                        near.c_str()));
+    return StrFormat(" at line %zu col %zu near '%s'", lc.line, lc.col,
+                     near.c_str());
   }
 
   /// Span from `start` to the current cursor, trailing whitespace excluded.
@@ -273,6 +305,8 @@ class Parser {
   /// grammar dispatch lives in ParsePrimaryInner.
   Result<ExprPtr> ParsePrimary() {
     SkipWs();
+    if (depth_ >= kMaxNesting) return TooDeep();
+    Nest nest(&depth_);
     const size_t start = pos_;
     MCT_ASSIGN_OR_RETURN(ExprPtr node, ParsePrimaryInner());
     if (node != nullptr && !node->span.valid()) node->span = SpanFrom(start);
@@ -568,6 +602,8 @@ class Parser {
   Result<ExprPtr> ParseElementConstructor() {
     // At '<'.
     if (Peek() != '<') return Err("expected '<'");
+    if (depth_ >= kMaxNesting) return TooDeep();
+    Nest nest(&depth_);
     const size_t ctor_start = pos_;
     ++pos_;
     auto node = std::make_unique<Expr>(Expr::Kind::kElement);
@@ -698,6 +734,7 @@ class Parser {
 
   std::string_view in_;
   size_t pos_ = 0;
+  int depth_ = 0;  // ParsePrimary / ParseElementConstructor frames
 };
 
 }  // namespace

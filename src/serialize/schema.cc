@@ -1,6 +1,7 @@
 #include "serialize/schema.h"
 
-#include <unordered_map>
+#include <cassert>
+#include <tuple>
 
 namespace mct::serialize {
 
@@ -39,40 +40,30 @@ std::vector<const ElementType*> MctSchema::MultiColoredTypes() const {
 
 MctSchema InferSchema(const MctDatabase& db) {
   MctSchema schema;
-  // parent-type x child-type x color -> (total children, parent instances).
-  struct Acc {
-    uint64_t child_count = 0;
-  };
-  std::map<std::tuple<std::string, std::string, std::string>, Acc> accs;
-  std::map<std::pair<std::string, std::string>, uint64_t> parent_instances;
-
-  for (ColorId c = 0; c < db.num_colors(); ++c) {
-    const std::string& color = db.ColorName(c);
-    const ColoredTree* t = db.tree(c);
-    for (NodeId n : t->PreOrder()) {
-      if (db.Kind(n) != xml::NodeKind::kElement) continue;
-      const std::string& ptag = db.Tag(n);
-      parent_instances[{ptag, color}]++;
-      schema.AddElement(ptag)->colors.insert(color);
-      for (NodeId ch : t->Children(n)) {
-        if (db.Kind(ch) != xml::NodeKind::kElement) continue;
-        schema.AddChild(color, ptag, db.Tag(ch));
-        accs[{ptag, db.Tag(ch), color}].child_count++;
-      }
-    }
-  }
-  // quant(child, color) = avg children per parent instance. When a child
-  // type appears under several parent types in one color (rare in our
-  // schemas), the averages are summed per parent type and the last wins;
-  // workloads here have a unique parent type per (child, color).
-  for (const auto& [key, acc] : accs) {
+  const NamePool& names = db.store().names();
+  // (type, color) -> element members.
+  std::map<std::pair<NameId, ColorId>, uint64_t> members;
+  db.ForEachElementCount([&](ColorId c, NameId tag, uint64_t n) {
+    schema.AddElement(names.Name(tag))->colors.insert(db.ColorName(c));
+    members[{tag, c}] = n;
+  });
+  // (parent type, child type, color) -> quant(child, color) under that
+  // parent type: child edges per parent instance. Visited in name order,
+  // so each production lists its children sorted by name, and a child type
+  // under several parent types in one color keeps the average under the
+  // parent type whose name sorts last.
+  std::map<std::tuple<std::string, std::string, std::string>, double> quants;
+  db.ForEachChildEdgeCount(
+      [&](ColorId c, NameId parent, NameId child, uint64_t n) {
+        const uint64_t parents = members[{parent, c}];
+        assert(parents > 0);
+        quants[{names.Name(parent), names.Name(child), db.ColorName(c)}] =
+            static_cast<double>(n) / static_cast<double>(parents);
+      });
+  for (const auto& [key, quant] : quants) {
     const auto& [ptag, ctag, color] = key;
-    uint64_t parents = parent_instances[{ptag, color}];
-    if (parents > 0) {
-      schema.SetQuant(ctag, color,
-                      static_cast<double>(acc.child_count) /
-                          static_cast<double>(parents));
-    }
+    schema.AddChild(color, ptag, ctag);
+    schema.SetQuant(ctag, color, quant);
   }
   return schema;
 }

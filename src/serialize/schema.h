@@ -76,7 +76,9 @@ class MctSchema {
 };
 
 /// Infers a schema (types, per-color productions, quant statistics) from a
-/// live database: one element type per tag.
+/// live database: one element type per tag. A projection of the database's
+/// maintained type counts, O(types); production children are sorted by
+/// name.
 MctSchema InferSchema(const MctDatabase& db);
 
 /// The paper's Figure 8 movie schema (with the Section 5.1 extensions:

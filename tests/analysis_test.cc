@@ -306,6 +306,40 @@ TEST(AnalysisTest, StrictModePassesCleanStatements) {
   EXPECT_EQ(r->items.size(), 2u);
 }
 
+TEST(AnalysisTest, ReusedEvaluatorSeesTypesItsUpdateAdds) {
+  using namespace workload;
+  auto t = BuildTpcw(GenerateTpcw(TpcwScale::Default().ScaledBy(0.05)),
+                     SchemaKind::kMct);
+  ASSERT_TRUE(t.ok()) << t.status();
+  EvalOptions opts;
+  opts.analyze = AnalyzeMode::kStrict;
+  opts.default_color = t->cust;
+  Evaluator ev(t->db.get(), opts);
+  const std::string notes =
+      std::string("for $n in ") + kDoc + "/{cust}descendant::note return $n";
+  auto unknown = ev.Run(notes);
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_NE(unknown.status().message().find("MCX002"), std::string::npos)
+      << unknown.status().ToString();
+
+  auto insert = ev.Run(std::string("for $c in ") + kDoc +
+                       "/{cust}descendant::customer[@id = \"c0\"] "
+                       "update $c { insert <note>vip</note> into {cust} }");
+  ASSERT_TRUE(insert.ok()) << insert.status().ToString();
+  ASSERT_EQ(insert->updated_count, 1u);
+
+  // The same evaluator re-projects its schema after its own update, and
+  // agrees with a fresh one.
+  auto seen = ev.Run(notes);
+  ASSERT_TRUE(seen.ok()) << seen.status().ToString();
+  ASSERT_EQ(seen->items.size(), 1u);
+  Evaluator fresh(t->db.get(), opts);
+  auto fresh_seen = fresh.Run(notes);
+  ASSERT_TRUE(fresh_seen.ok()) << fresh_seen.status().ToString();
+  ASSERT_EQ(fresh_seen->items.size(), 1u);
+  EXPECT_EQ(seen->items[0].node, fresh_seen->items[0].node);
+}
+
 TEST(AnalysisTest, MetricsCountersAdvance) {
   MetricsRegistry& reg = MetricsRegistry::Global();
   const uint64_t runs0 = reg.counter("mct.analysis.runs")->value();

@@ -238,6 +238,32 @@ TEST(ParserTest, Errors) {
                   .IsParseError());
 }
 
+/// `left` x depth, then `mid`, then `right` x depth.
+std::string Nested(const std::string& left, const std::string& mid,
+                   const std::string& right, int depth) {
+  std::string out;
+  for (int i = 0; i < depth; ++i) out += left;
+  out += mid;
+  for (int i = 0; i < depth; ++i) out += right;
+  return out;
+}
+
+TEST(ParserTest, NestingIsCappedWithASpannedError) {
+  // Deep but under the cap: accepted.
+  EXPECT_TRUE(Parse(Nested("(", "1", ")", 200)).ok());
+  EXPECT_TRUE(Parse(Nested("<a>", "x", "</a>", 200)).ok());
+  // 20,000 levels (a stack overflow before the cap): refused.
+  for (const std::string& text : {Nested("(", "1", ")", 20000),
+                                  Nested("<a>", "x", "</a>", 20000),
+                                  "for $m in document(\"d\")//x return " +
+                                      Nested("<a>{", "$m", "}</a>", 20000)}) {
+    Status s = Parse(text).status();
+    EXPECT_TRUE(s.IsInvalidArgument()) << s;
+    EXPECT_NE(s.message().find("nested deeper than"), std::string::npos) << s;
+    EXPECT_NE(s.message().find("line 1 col"), std::string::npos) << s;
+  }
+}
+
 TEST(ParserTest, ErrorMessagesCarryLineColAndNearText) {
   // Single-line error: position points at the offending token.
   Status s = Parse("for $m in document(\"d\")//x return $m extra").status();

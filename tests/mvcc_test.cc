@@ -31,6 +31,8 @@
 #include "mct/mvcc.h"
 #include "mcx/evaluator.h"
 #include "movie_fixture.h"
+#include "schema_oracle.h"
+#include "serialize/schema.h"
 #include "serve/server.h"
 #include "storage/fault_env.h"
 
@@ -460,6 +462,30 @@ TEST(ServeAdmissionTest, SessionCapAndWriterGate) {
   EXPECT_EQ(server->CommitHistory().size(), 2u);
 }
 
+// Client text reaches the MCX parser directly: statements nested far past
+// the parser's cap are refused with InvalidArgument instead of overflowing
+// the stack, and the same server keeps answering.
+TEST(ServeAdmissionTest, DeeplyNestedStatementsAreRefused) {
+  FaultInjectionEnv env;
+  auto server = OpenServer(&env);
+  auto session = server->Connect();
+  ASSERT_TRUE(session.ok()) << session.status();
+  constexpr int kDepth = 20000;
+  const std::string parens =
+      std::string(kDepth, '(') + "1" + std::string(kDepth, ')');
+  std::string ctors;
+  for (int i = 0; i < kDepth; ++i) ctors += "<a>";
+  for (int i = 0; i < kDepth; ++i) ctors += "</a>";
+  for (const std::string& text : {parens, ctors}) {
+    auto r = (*session)->Run(text);
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status();
+  }
+  auto read = (*session)->Run(kReads[0]);
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(read->items.size(), 3u);
+}
+
 // Group commit batches concurrent statements into shared epochs; a failing
 // statement is rejected whole without poisoning its batch-mates.
 TEST(ServeAdmissionTest, FailingStatementDoesNotPoisonBatch) {
@@ -584,6 +610,70 @@ TEST(ServeMaskTest, PlanCacheHitsNeverCrossMaskFingerprints) {
   auto r5 = (*open)->Run(kQ);
   ASSERT_TRUE(r5.ok());
   EXPECT_EQ(r5->items.size(), 3u);
+}
+
+// Masked readers project the schema while the committer adds a new element
+// type on every commit. Each reader's projection of its pinned snapshot
+// equals the walk over that snapshot and holds every type committed before
+// the pin — the type counts a commit privatizes never leak into, or go
+// missing from, a published version. Runs under tsan with the whole file.
+TEST(ServeMaskTest, MaskedReadersProjectSchemaWhileCommitsAddTypes) {
+  FaultInjectionEnv env;
+  auto server = OpenServer(&env);
+  testfix::MovieDb ids = BuildMovieDb();
+  const ColorMask red_only = ColorMask::AllowOnly(ColorSet::Of(ids.red));
+  constexpr int kCommits = 10;
+  std::atomic<int> committed{0};
+  std::atomic<bool> writing{true};
+
+  std::thread writer([&] {
+    [&] {
+      auto session = server->Connect();
+      ASSERT_TRUE(session.ok()) << session.status();
+      for (int k = 0; k < kCommits; ++k) {
+        const std::string tag = "t" + std::to_string(k);
+        auto r = (*session)->Run(
+            "for $m in document(\"d\")/{red}descendant::movie "
+            "update $m { insert <" + tag + ">x</" + tag + "> into {red} }");
+        ASSERT_TRUE(r.ok()) << r.status();
+        ASSERT_TRUE((*session)->Commit().ok());
+        committed.store(k + 1);
+      }
+    }();
+    writing.store(false);  // also after a failed assertion: readers stop
+  });
+  std::vector<std::thread> readers;
+  for (int i = 0; i < 2; ++i) {
+    readers.emplace_back([&] {
+      auto session = server->Connect(red_only);
+      ASSERT_TRUE(session.ok()) << session.status();
+      int rounds = 0;
+      while (writing.load() || rounds < 2) {
+        ++rounds;
+        const int known = committed.load();
+        ASSERT_TRUE((*session)->Begin().ok());
+        // The masked statement projects the schema for its visibility
+        // analysis on the session's snapshot.
+        auto r = (*session)->Run(
+            "for $m in document(\"d\")/{red}descendant::movie return $m");
+        ASSERT_TRUE(r.ok()) << r.status();
+        ASSERT_EQ(r->items.size(), 3u);
+        const MctDatabase& snap = *(*session)->snapshot_db();
+        const serialize::MctSchema schema = serialize::InferSchema(snap);
+        ASSERT_TRUE(testfix::ProjectionMatchesWalk(snap));
+        for (int k = 0; k < known; ++k) {
+          const serialize::ElementType* t =
+              schema.Find("t" + std::to_string(k));
+          ASSERT_NE(t, nullptr) << "t" << k << " missing at epoch "
+                                << (*session)->snapshot_epoch();
+          EXPECT_DOUBLE_EQ(schema.Quant(t->name, "red"), 1.0);
+        }
+        ASSERT_TRUE((*session)->Commit().ok());
+      }
+    });
+  }
+  writer.join();
+  for (auto& t : readers) t.join();
 }
 
 // Chaos battery: disjoint-masked tenants churn concurrently (kWarn, so

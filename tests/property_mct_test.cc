@@ -1,8 +1,11 @@
 // Property-based randomized MCT tests: seeded random mutation batches
-// (CreateElement / AddNodeColor / RemoveNodeColor / SetContent / SetAttr)
+// (CreateElement / AddNodeColor / RemoveNodeColor / SetContent / SetAttr,
+// then a fresh color built from an existing subtree, as createColor does)
 // against a multi-color database, asserting after every batch that
 //   * every Definition 3.1/3.2 invariant holds (ValidateDatabase),
-//   * a snapshot save/load round-trip reproduces an isomorphic database.
+//   * a snapshot save/load round-trip reproduces an isomorphic database,
+//   * InferSchema's projection of the maintained type counts equals the
+//     walk over every tree, before and after the round trip.
 // Mutations that violate MCT preconditions (duplicate color, cross-tree
 // parent) must fail with a clean Status, never corrupt state.
 
@@ -17,12 +20,14 @@
 #include "mct/database.h"
 #include "mct/snapshot.h"
 #include "mct/validate.h"
+#include "schema_oracle.h"
 #include "serialize/exchange.h"
 
 namespace mct {
 namespace {
 
 using serialize::DatabasesIsomorphic;
+using testfix::ProjectionMatchesWalk;
 
 const char* kTags[] = {"a", "b", "c", "item", "name"};
 const char* kColors[] = {"red", "green", "blue"};
@@ -106,6 +111,26 @@ void Mutate(Model& m, Rng& rng) {
   }
 }
 
+/// createColor at the database level: registers `name` and gives a random
+/// node's subtree in another color the new color too (same identities,
+/// rooted at the document).
+void CreateColor(Model& m, Rng& rng, const std::string& name) {
+  const ColorId from = rng.Pick(m.colors);
+  const std::vector<NodeId> in = m.InColor(from);
+  auto c = m.db.RegisterColor(name);
+  ASSERT_TRUE(c.ok()) << c.status();
+  m.colors.push_back(*c);
+  if (in.size() < 2) return;  // only the document
+  NodeId root = in[1 + rng.Uniform(in.size() - 1)];
+  std::vector<std::pair<NodeId, NodeId>> stack{{m.db.document(), root}};
+  while (!stack.empty()) {
+    auto [parent, n] = stack.back();
+    stack.pop_back();
+    ASSERT_TRUE(m.db.AddNodeColor(n, *c, parent).ok());
+    for (NodeId ch : m.db.Children(n, from)) stack.emplace_back(n, ch);
+  }
+}
+
 TEST(PropertyMctTest, RandomMutationBatchesStayValidAndRoundTrip) {
   for (uint64_t seed : {1u, 7u, 42u}) {
     Rng rng(seed);
@@ -121,7 +146,13 @@ TEST(PropertyMctTest, RandomMutationBatchesStayValidAndRoundTrip) {
       for (int i = 0; i < 40; ++i) {
         Mutate(m, rng);
         if (::testing::Test::HasFatalFailure()) return;
+        EXPECT_TRUE(ProjectionMatchesWalk(m.db))
+            << "seed " << seed << " batch " << batch << " step " << i;
       }
+      CreateColor(m, rng, "batch" + std::to_string(batch));
+      if (::testing::Test::HasFatalFailure()) return;
+      EXPECT_TRUE(ProjectionMatchesWalk(m.db))
+          << "seed " << seed << " batch " << batch << " createColor";
       ValidationReport report = ValidateDatabase(m.db);
       EXPECT_TRUE(report.ok())
           << "seed " << seed << " batch " << batch << "\n"
@@ -135,6 +166,8 @@ TEST(PropertyMctTest, RandomMutationBatchesStayValidAndRoundTrip) {
       // The reloaded copy satisfies the same invariants.
       ValidationReport reloaded_report = ValidateDatabase(**loaded);
       EXPECT_TRUE(reloaded_report.ok()) << reloaded_report.ToString();
+      EXPECT_TRUE(ProjectionMatchesWalk(**loaded))
+          << "seed " << seed << " batch " << batch << " reloaded";
     }
     std::filesystem::remove(path);
   }

@@ -16,6 +16,7 @@
 #include "mcx/evaluator.h"
 #include "serialize/exchange.h"
 #include "movie_fixture.h"
+#include "schema_oracle.h"
 #include "serve/server.h"
 #include "storage/fault_env.h"
 
@@ -62,6 +63,8 @@ void ExpectState(MctDatabase* got, size_t n) {
   std::string why;
   EXPECT_TRUE(DatabasesIsomorphic(*got, *want, &why))
       << "not the state after " << n << " updates: " << why;
+  // Checkpoint load and WAL replay keep the type counts current.
+  EXPECT_TRUE(testfix::ProjectionMatchesWalk(*got));
 }
 
 constexpr char kDir[] = "/db";

@@ -1,16 +1,24 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "movie_fixture.h"
+#include "schema_oracle.h"
 #include "serialize/exchange.h"
 #include "serialize/opt_serialize.h"
 #include "serialize/schema.h"
+#include "workload/sigmodr_db.h"
+#include "workload/tpcw_db.h"
 
 namespace mct::serialize {
 namespace {
 
 using testfix::BuildMovieDb;
 using testfix::MovieDb;
+using testfix::ProjectionMatchesWalk;
+using testfix::SameSchema;
+using testfix::WalkInferSchema;
 
 TEST(SchemaTest, BuildAndQuery) {
   MctSchema s;
@@ -54,6 +62,101 @@ TEST(SchemaTest, InferFromMovieDb) {
   EXPECT_NEAR(s.Quant("movie-role", "red"), 2.0 / 3.0, 1e-9);
   // quant(votes, green): 2 votes over 2 green movies.
   EXPECT_NEAR(s.Quant("votes", "green"), 1.0, 1e-9);
+}
+
+// ---- InferSchema: projection of the maintained counts vs the walk ----
+
+/// The projection equals the walk on `db`, and optSerialize picks the same
+/// scheme from either schema.
+void ExpectProjectionMatchesWalk(const MctDatabase& db) {
+  const MctSchema projected = InferSchema(db);
+  const MctSchema walked = WalkInferSchema(db);
+  EXPECT_TRUE(SameSchema(projected, walked, db));
+  auto a = OptSerialize(projected);
+  auto b = OptSerialize(walked);
+  ASSERT_EQ(a.ok(), b.ok());
+  if (!a.ok()) return;
+  EXPECT_EQ(a->primary, b->primary);
+  EXPECT_EQ(a->expected_cost, b->expected_cost);
+}
+
+TEST(InferSchemaDifferentialTest, MovieTpcwAndSigmodMatchWalk) {
+  using namespace workload;
+  ExpectProjectionMatchesWalk(*BuildMovieDb().db);
+  const TpcwData tpcw = GenerateTpcw(TpcwScale::Default().ScaledBy(0.05));
+  const SigmodData sigmod = GenerateSigmod(SigmodScale::Default());
+  for (SchemaKind kind :
+       {SchemaKind::kMct, SchemaKind::kShallow, SchemaKind::kDeep}) {
+    SCOPED_TRACE(SchemaKindName(kind));
+    auto t = BuildTpcw(tpcw, kind);
+    ASSERT_TRUE(t.ok()) << t.status();
+    ExpectProjectionMatchesWalk(*t->db);
+    auto g = BuildSigmod(sigmod, kind);
+    ASSERT_TRUE(g.ok()) << g.status();
+    ExpectProjectionMatchesWalk(*g->db);
+  }
+}
+
+TEST(InferSchemaDifferentialTest, ProductionChildrenSortedByName) {
+  MovieDb f = BuildMovieDb();
+  const MctSchema schema = InferSchema(*f.db);
+  for (const auto& [name, e] : schema.elements()) {
+    for (const auto& [color, prod] : e.productions) {
+      EXPECT_TRUE(std::is_sorted(
+          prod.children.begin(), prod.children.end(),
+          [](const ProductionChild& a, const ProductionChild& b) {
+            return a.elem < b.elem;
+          }))
+          << name << " in " << color;
+    }
+  }
+}
+
+TEST(InferSchemaDifferentialTest, MutatedCloneMatchesWalkAndParentStays) {
+  using namespace workload;
+  auto t = BuildTpcw(GenerateTpcw(TpcwScale::Default().ScaledBy(0.05)),
+                     SchemaKind::kMct);
+  ASSERT_TRUE(t.ok()) << t.status();
+  MctDatabase& parent = *t->db;
+  const MctSchema before = InferSchema(parent);
+
+  std::unique_ptr<MctDatabase> clone = parent.CowClone(false);
+  // Inserts: a new type under every tenth customer, then a second color
+  // for one of those nodes (a next-color constructor).
+  std::vector<NodeId> customers = clone->TagScan(t->cust, "customer");
+  ASSERT_GT(customers.size(), 20u);
+  std::vector<NodeId> notes;
+  for (size_t i = 0; i < customers.size(); i += 10) {
+    auto n = clone->CreateElement(t->cust, customers[i], "note");
+    ASSERT_TRUE(n.ok()) << n.status();
+    ASSERT_TRUE(clone->CreateElement(t->cust, *n, "line").ok());
+    notes.push_back(*n);
+  }
+  NodeId order = clone->TagScan(t->date, "order").front();
+  ASSERT_TRUE(clone->AddNodeColor(notes[0], t->date, order).ok());
+  EXPECT_TRUE(ProjectionMatchesWalk(*clone));
+  EXPECT_NE(clone->TagCount(t->date, "note"), 0u);
+
+  // Failed detaches change nothing; successful ones drop whole subtrees
+  // (an order with its orderlines) and the last member of a type.
+  EXPECT_FALSE(clone->RemoveNodeColor(clone->document(), t->cust).ok());
+  EXPECT_FALSE(clone->RemoveNodeColor(notes[1], t->date).ok());
+  EXPECT_TRUE(ProjectionMatchesWalk(*clone));
+  std::vector<NodeId> orders = clone->TagScan(t->cust, "order");
+  for (size_t i = 0; i < orders.size(); i += 3) {
+    ASSERT_TRUE(clone->RemoveNodeColor(orders[i], t->cust).ok());
+  }
+  ASSERT_TRUE(clone->RemoveNodeColor(notes[0], t->date).ok());
+  EXPECT_TRUE(ProjectionMatchesWalk(*clone));
+  EXPECT_EQ(clone->TagCount(t->date, "note"), 0u);
+  EXPECT_EQ(InferSchema(*clone).Find("note")->colors,
+            (std::set<std::string>{"cust"}));
+
+  // The parent version never saw any of it.
+  EXPECT_EQ(parent.TagCount(t->cust, "note"), 0u);
+  EXPECT_EQ(InferSchema(parent).Find("note"), nullptr);
+  EXPECT_TRUE(SameSchema(InferSchema(parent), before, parent));
+  EXPECT_TRUE(ProjectionMatchesWalk(parent));
 }
 
 TEST(OptSerializeTest, SingleColorSchemaTrivial) {
@@ -338,6 +441,7 @@ TEST_P(ExchangeRoundTrip, RandomDatabasesSurviveRoundTrip) {
       }
     }
   }
+  ExpectProjectionMatchesWalk(db);
   MctSchema schema = InferSchema(db);
   auto scheme = OptSerialize(schema);
   ASSERT_TRUE(scheme.ok());
@@ -347,6 +451,7 @@ TEST_P(ExchangeRoundTrip, RandomDatabasesSurviveRoundTrip) {
   ASSERT_TRUE(imported.ok()) << imported.status();
   std::string why;
   EXPECT_TRUE(DatabasesIsomorphic(db, **imported, &why)) << why;
+  EXPECT_TRUE(ProjectionMatchesWalk(**imported));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExchangeRoundTrip,
