@@ -17,14 +17,17 @@
 //
 // Thread model: a CowChunkVector that is reachable by concurrent readers
 // must never be mutated — MVCC publishes a version and from then on only
-// clones of it are written. Mutators decide "shared" with use_count(),
-// which can only over-estimate sharing from the single writer's point of
-// view (a racing reader release makes it copy once more than strictly
-// needed — never mutate a chunk a reader still holds).
+// clones of it are written. Mutators privatize through CowOwn(), which
+// decides "shared" with use_count(): that can only over-estimate sharing
+// from the single writer's point of view (a racing reader release makes it
+// copy once more than strictly needed — never mutate a chunk a reader
+// still holds).
 //
-// CowLiveChunks() counts every live chunk process-wide; the epoch-
-// retirement leak tests compare it against the chunks resident in the head
-// version to prove retired versions free their copies.
+// CowLiveChunks() counts every live chunk process-wide (every CowCounted
+// object: CowChunkVector chunks and the index-image directories and
+// buckets of MctDatabase); the epoch-retirement leak tests compare it
+// against the chunks resident in the head version to prove retired
+// versions free their copies.
 
 #ifndef COLORFUL_XML_COMMON_COW_H_
 #define COLORFUL_XML_COMMON_COW_H_
@@ -45,12 +48,44 @@ inline std::atomic<int64_t>& LiveChunkCount() {
 }
 }  // namespace cow_internal
 
-/// Process-wide number of live COW chunks across every CowChunkVector
-/// instantiation. The authoritative value is this plain atomic (not a
-/// metrics Gauge), so MetricsRegistry::ResetForTest cannot corrupt it;
-/// MVCC mirrors it into the mct.mvcc.cow_chunks gauge by Set().
+/// Process-wide number of live COW chunks (CowCounted objects). The
+/// authoritative value is this plain atomic (not a metrics Gauge), so
+/// MetricsRegistry::ResetForTest cannot corrupt it; MVCC mirrors it into
+/// the mct.mvcc.cow_chunks gauge by Set().
 inline int64_t CowLiveChunks() {
   return cow_internal::LiveChunkCount().load(std::memory_order_relaxed);
+}
+
+/// Base of every copy-on-write unit that versions share: constructing or
+/// copying one adds it to the CowLiveChunks() census, destroying it
+/// removes it.
+struct CowCounted {
+  CowCounted() {
+    cow_internal::LiveChunkCount().fetch_add(1, std::memory_order_relaxed);
+  }
+  CowCounted(const CowCounted&) : CowCounted() {}
+  CowCounted& operator=(const CowCounted&) { return *this; }
+  ~CowCounted() {
+    cow_internal::LiveChunkCount().fetch_sub(1, std::memory_order_relaxed);
+  }
+};
+
+/// The object behind `p`, privately owned by the caller's version:
+/// allocated when null, copied when another version still shares it, and
+/// otherwise written in place. use_count() is a relaxed load, so reading 1
+/// does not by itself order the last reads of the version that just
+/// released its reference (on another thread) before our writes; the
+/// acquire fence does, pairing with shared_ptr's acq_rel decrement.
+template <typename T>
+T* CowOwn(std::shared_ptr<T>& p) {
+  if (p == nullptr) {
+    p = std::make_shared<T>();
+  } else if (p.use_count() > 1) {
+    p = std::make_shared<T>(*p);
+  } else {
+    std::atomic_thread_fence(std::memory_order_acquire);
+  }
+  return p.get();
 }
 
 template <typename T>
@@ -153,31 +188,13 @@ class CowChunkVector {
   }
 
  private:
-  struct Chunk {
-    Chunk() {
-      cow_internal::LiveChunkCount().fetch_add(1, std::memory_order_relaxed);
-    }
-    Chunk(const Chunk& o) : engaged(o.engaged), slots(o.slots) {
-      cow_internal::LiveChunkCount().fetch_add(1, std::memory_order_relaxed);
-    }
-    ~Chunk() {
-      cow_internal::LiveChunkCount().fetch_sub(1, std::memory_order_relaxed);
-    }
+  struct Chunk : CowCounted {
     uint64_t engaged = 0;
     std::array<T, kChunkSlots> slots{};
   };
 
-  /// The chunk at directory slot `ci`, privately owned: allocates when
-  /// null, copies when shared with another version.
-  Chunk* Own(size_t ci) {
-    std::shared_ptr<Chunk>& c = chunks_[ci];
-    if (c == nullptr) {
-      c = std::make_shared<Chunk>();
-    } else if (c.use_count() > 1) {
-      c = std::make_shared<Chunk>(*c);
-    }
-    return c.get();
-  }
+  /// The chunk at directory slot `ci`, privately owned.
+  Chunk* Own(size_t ci) { return CowOwn(chunks_[ci]); }
 
   std::vector<std::shared_ptr<Chunk>> chunks_;
   size_t count_ = 0;

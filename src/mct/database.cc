@@ -16,9 +16,9 @@ MctDatabase::MctDatabase(std::unique_ptr<StorageEnv> env)
       tag_index_(std::make_shared<BPlusTree>(env_->pool())),
       content_index_(std::make_shared<BPlusTree>(env_->pool())),
       attr_index_(std::make_shared<BPlusTree>(env_->pool())),
-      tag_image_(std::make_shared<IndexMap>()),
-      content_image_(std::make_shared<IndexMap>()),
-      attr_image_(std::make_shared<IndexMap>()),
+      tag_image_(std::make_shared<ImageDirectory>()),
+      content_image_(std::make_shared<ImageDirectory>()),
+      attr_image_(std::make_shared<ImageDirectory>()),
       edge_counts_(std::make_shared<EdgeCounts>()) {
   auto doc = store_.CreateNode(xml::NodeKind::kDocument, "#document");
   assert(doc.ok());
@@ -62,47 +62,36 @@ uint32_t MctDatabase::HashValue(std::string_view s) {
   return h;
 }
 
-void MctDatabase::ImageInsert(std::shared_ptr<IndexMap>* image, uint64_t key,
-                              NodeId n) {
-  if (image->use_count() > 1) {
-    *image = std::make_shared<IndexMap>(**image);
-  }
-  PostingList& slot = (**image)[key];
-  auto next = slot == nullptr ? std::make_shared<std::vector<NodeId>>()
-                              : std::make_shared<std::vector<NodeId>>(*slot);
-  auto it = std::lower_bound(next->begin(), next->end(), n);
-  if (it == next->end() || *it != n) next->insert(it, n);
-  slot = std::move(next);
-}
-
-void MctDatabase::ImageErase(std::shared_ptr<IndexMap>* image, uint64_t key,
-                             NodeId n) {
-  if (image->use_count() > 1) {
-    *image = std::make_shared<IndexMap>(**image);
-  }
-  auto f = (*image)->find(key);
-  if (f == (*image)->end()) return;
-  auto next = std::make_shared<std::vector<NodeId>>(*f->second);
-  auto it = std::lower_bound(next->begin(), next->end(), n);
-  if (it != next->end() && *it == n) next->erase(it);
-  if (next->empty()) {
-    (*image)->erase(f);
-  } else {
-    f->second = std::move(next);
-  }
-}
-
-MctDatabase::EdgeCounts& MctDatabase::OwnEdgeCounts() {
-  if (edge_counts_.use_count() > 1) {
-    edge_counts_ = std::make_shared<EdgeCounts>(*edge_counts_);
-  }
-  return *edge_counts_;
-}
-
-const std::vector<NodeId>* MctDatabase::ImageFind(const IndexMap& image,
+const std::vector<NodeId>* MctDatabase::ImageFind(const ImageDirectory& image,
                                                   uint64_t key) {
-  auto it = image.find(key);
-  return it == image.end() ? nullptr : it->second.get();
+  const ImageBucket* bucket = image.buckets[BucketOf(key)].get();
+  if (bucket == nullptr) return nullptr;
+  auto it = bucket->lists.find(key);
+  return it == bucket->lists.end() ? nullptr : it->second.get();
+}
+
+void MctDatabase::ImageInsert(IndexImage* image, uint64_t key, NodeId n) {
+  ImageBucket* bucket = CowOwn(CowOwn(*image)->buckets[BucketOf(key)]);
+  std::vector<NodeId>* list = CowOwn(bucket->lists[key]);
+  auto it = std::lower_bound(list->begin(), list->end(), n);
+  if (it == list->end() || *it != n) list->insert(it, n);
+}
+
+void MctDatabase::ImageErase(IndexImage* image, uint64_t key, NodeId n) {
+  const std::vector<NodeId>* cur = ImageFind(**image, key);
+  if (cur == nullptr || !std::binary_search(cur->begin(), cur->end(), n)) {
+    return;
+  }
+  std::shared_ptr<ImageBucket>& slot = CowOwn(*image)->buckets[BucketOf(key)];
+  ImageBucket* bucket = CowOwn(slot);
+  auto it = bucket->lists.find(key);
+  if (it->second->size() == 1) {
+    bucket->lists.erase(it);
+    if (bucket->lists.empty()) slot = nullptr;
+    return;
+  }
+  std::vector<NodeId>* list = CowOwn(it->second);
+  list->erase(std::lower_bound(list->begin(), list->end(), n));
 }
 
 Result<ColorId> MctDatabase::RegisterColor(std::string_view name) {
@@ -143,8 +132,8 @@ Status MctDatabase::AddNodeColor(NodeId node, ColorId color, NodeId parent,
   if (IsElement(node)) {
     ImageInsert(&tag_image_, TagKey(color, store_.Name(node)), node);
     if (IsElement(parent)) {
-      ++OwnEdgeCounts()[EdgeKey{color, store_.Name(parent),
-                                store_.Name(node)}];
+      ++(*CowOwn(edge_counts_))[EdgeKey{color, store_.Name(parent),
+                                        store_.Name(node)}];
     }
     if (write_through_) {
       // Accounting mirror; a discarded trial clone can leave stale entries
@@ -207,7 +196,7 @@ Status MctDatabase::RemoveNodeColor(NodeId node, ColorId color) {
   shard_map_.reset();
   MCT_RETURN_IF_ERROR(trees_[color]->DetachSubtree(node, &removed));
   if (!lost.empty()) {
-    EdgeCounts& counts = OwnEdgeCounts();
+    EdgeCounts& counts = *CowOwn(edge_counts_);
     for (const EdgeKey& k : lost) {
       auto it = counts.find(k);
       if (it != counts.end() && --it->second == 0) counts.erase(it);
@@ -477,6 +466,10 @@ DatabaseStats MctDatabase::Stats() const {
 size_t MctDatabase::ResidentChunks() const {
   size_t n = store_.ResidentChunks();
   for (const auto& t : trees_) n += t->ResidentChunks();
+  for (const IndexImage* image : {&tag_image_, &content_image_, &attr_image_}) {
+    n += 1;  // the directory
+    for (const auto& bucket : (*image)->buckets) n += (bucket != nullptr);
+  }
   return n;
 }
 

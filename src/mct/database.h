@@ -21,18 +21,23 @@
 // MVCC (DESIGN.md §14): CowClone() snapshots the whole database in time
 // proportional to (nodes / 64): node and structural chunks are shared
 // copy-on-write, and the tag/content/attribute indexes are *resident
-// images* — hash maps of immutable posting lists shared between versions
-// and copied per-bucket on write. The query path reads only the resident
-// state, never the (single-threaded) buffer pool; the backing files and
-// B+Trees survive purely for Table-1 accounting, written by the
-// write-through committer lineage alone. Index entries exist only for
-// nodes carrying at least one color, so query-side constructor scratch
-// (free elements built by RETURN clauses on detached reader clones) never
-// touches the shared images.
+// images* shared between versions at three levels — a fixed directory of
+// bucket pointers, the buckets (small maps from key to posting list), and
+// the posting lists. A version's write copies only the directory, the one
+// bucket and the one list it touches, each only while another version
+// still holds it, and then edits in place; so a commit's first index write
+// costs one bucket, and a bulk build appends to its lists without copying.
+// The query path reads only the resident state, never the
+// (single-threaded) buffer pool; the backing files and B+Trees survive
+// purely for Table-1 accounting, written by the write-through committer
+// lineage alone. Index entries exist only for nodes carrying at least one
+// color, so query-side constructor scratch (free elements built by RETURN
+// clauses on detached reader clones) never touches the shared images.
 
 #ifndef COLORFUL_XML_MCT_DATABASE_H_
 #define COLORFUL_XML_MCT_DATABASE_H_
 
+#include <array>
 #include <memory>
 #include <optional>
 #include <string>
@@ -40,6 +45,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/cow.h"
 #include "common/result.h"
 #include "index/bptree.h"
 #include "mct/color.h"
@@ -212,9 +218,12 @@ class MctDatabase {
   /// `color` — the sizes of the tag image's posting lists.
   template <typename Fn>
   void ForEachElementCount(Fn&& fn) const {
-    for (const auto& [key, list] : *tag_image_) {
-      fn(static_cast<ColorId>(key >> 32), static_cast<NameId>(key),
-         static_cast<uint64_t>(list->size()));
+    for (const auto& bucket : tag_image_->buckets) {
+      if (bucket == nullptr) continue;
+      for (const auto& [key, list] : bucket->lists) {
+        fn(static_cast<ColorId>(key >> 32), static_cast<NameId>(key),
+           static_cast<uint64_t>(list->size()));
+      }
     }
   }
 
@@ -233,9 +242,10 @@ class MctDatabase {
   /// Table 1 statistics.
   DatabaseStats Stats() const;
 
-  /// COW chunks resident in this version, store plus every colored tree —
-  /// the baseline the epoch-retirement leak test compares CowLiveChunks()
-  /// against once all other versions are retired.
+  /// COW chunks resident in this version — store, every colored tree, and
+  /// the index images' directories and buckets — the baseline the epoch-
+  /// retirement leak test compares CowLiveChunks() against once all other
+  /// versions are retired.
   size_t ResidentChunks() const;
 
   /// The 32-bit value hash the content/attribute indexes key on. Public so
@@ -243,12 +253,26 @@ class MctDatabase {
   static uint32_t HashValue(std::string_view s);
 
  private:
-  // Resident index image: immutable posting lists (sorted by node id)
-  // behind a per-version map. Mutation copies the map when shared with
-  // another version (bucket-shallow) and always replaces the touched
-  // posting list, so published versions stay frozen.
-  using PostingList = std::shared_ptr<const std::vector<NodeId>>;
-  using IndexMap = std::unordered_map<uint64_t, PostingList>;
+  // Resident index image, copy-on-write at three levels that versions
+  // share: a directory of kImageBuckets bucket pointers (picked by a
+  // multiplicative hash of the key), each bucket a small map from key to
+  // posting list (node ids, ascending), null when empty. A write
+  // privatizes, in order, the directory, the key's bucket and the key's
+  // list — each copied only while another version still holds it (CowOwn)
+  // — and then inserts or erases in place, so published versions stay
+  // frozen. An erase that empties a list drops its key, and a bucket left
+  // with no key becomes null. Directories and buckets count in the
+  // CowLiveChunks() census.
+  static constexpr int kImageBucketBits = 10;
+  static constexpr size_t kImageBuckets = size_t{1} << kImageBucketBits;
+  using PostingList = std::shared_ptr<std::vector<NodeId>>;
+  struct ImageBucket : CowCounted {
+    std::unordered_map<uint64_t, PostingList> lists;
+  };
+  struct ImageDirectory : CowCounted {
+    std::array<std::shared_ptr<ImageBucket>, kImageBuckets> buckets;
+  };
+  using IndexImage = std::shared_ptr<ImageDirectory>;
 
   MctDatabase(const MctDatabase& o, bool write_through);
 
@@ -258,8 +282,15 @@ class MctDatabase {
   static uint64_t ValueKey(NameId name, uint32_t hash) {
     return (uint64_t{name} << 32) | hash;
   }
+  /// Directory slot of an image key: Fibonacci hashing, whose top bits mix
+  /// every bit of the key.
+  static size_t BucketOf(uint64_t key) {
+    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >>
+                               (64 - kImageBucketBits));
+  }
   // Child-edge counts between element types, per color. Shared between
-  // versions like the index images and copied on a version's first write.
+  // versions and copied whole on a version's first write (a few dozen
+  // keys, so it needs no buckets).
   struct EdgeKey {
     ColorId color;
     NameId parent;
@@ -274,14 +305,10 @@ class MctDatabase {
   };
   using EdgeCounts = std::unordered_map<EdgeKey, uint64_t, EdgeKeyHash>;
 
-  static void ImageInsert(std::shared_ptr<IndexMap>* image, uint64_t key,
-                          NodeId n);
-  static void ImageErase(std::shared_ptr<IndexMap>* image, uint64_t key,
-                         NodeId n);
-  static const std::vector<NodeId>* ImageFind(const IndexMap& image,
+  static void ImageInsert(IndexImage* image, uint64_t key, NodeId n);
+  static void ImageErase(IndexImage* image, uint64_t key, NodeId n);
+  static const std::vector<NodeId>* ImageFind(const ImageDirectory& image,
                                               uint64_t key);
-  /// This version's edge counts, privatized first when shared.
-  EdgeCounts& OwnEdgeCounts();
 
   bool IsElement(NodeId n) const {
     return store_.Kind(n) == xml::NodeKind::kElement;
@@ -307,9 +334,9 @@ class MctDatabase {
   // (attr name, hash(value), node) -> node.
   std::shared_ptr<BPlusTree> attr_index_;
   // Resident images keyed TagKey / ValueKey.
-  std::shared_ptr<IndexMap> tag_image_;
-  std::shared_ptr<IndexMap> content_image_;
-  std::shared_ptr<IndexMap> attr_image_;
+  IndexImage tag_image_;
+  IndexImage content_image_;
+  IndexImage attr_image_;
   std::shared_ptr<EdgeCounts> edge_counts_;
   // Immutable shard map shared across the MVCC lineage; any structural
   // mutation resets only this version's pointer (shard-local

@@ -42,7 +42,7 @@ Result<NodeId> NodeStore::CreateNode(xml::NodeKind kind,
   NodeId id = static_cast<NodeId>(nodes_.count());
   Node& node = nodes_.Put(id);
   node.kind = kind;
-  node.name = OwnNames()->Intern(name);
+  node.name = CowOwn(names_)->Intern(name);
   if (kind == xml::NodeKind::kElement) ++num_elements_;
   if (write_through_) {
     // Backing file record. Node ids are dense within the committer chain;
@@ -116,7 +116,7 @@ const std::string* NodeStore::FindAttr(NodeId n, std::string_view name) const {
 
 Status NodeStore::SetAttr(NodeId n, std::string_view name,
                           std::string_view value) {
-  NameId id = OwnNames()->Intern(name);
+  NameId id = CowOwn(names_)->Intern(name);
   Node& node = nodes_.Mut(n);
   for (size_t i = 0; i < node.attrs.size(); ++i) {
     if (node.attrs[i].name == id) {

@@ -98,7 +98,7 @@ class NodeStore {
   void MarkDead(NodeId n) { nodes_.Mut(n).dead = true; }
 
   /// Interning mutates the pool, so it privatizes a shared one first.
-  NamePool* mutable_names() { return OwnNames(); }
+  NamePool* mutable_names() { return CowOwn(names_); }
   const NamePool& names() const { return *names_; }
 
   /// Counts for Table 1.
@@ -154,10 +154,6 @@ class NodeStore {
   };
 
   Status WriteNodeRecord(NodeId n);
-  NamePool* OwnNames() {
-    if (names_.use_count() > 1) names_ = std::make_shared<NamePool>(*names_);
-    return names_.get();
-  }
 
   std::shared_ptr<NamePool> names_;
   CowChunkVector<Node> nodes_;

@@ -81,9 +81,15 @@ class Parser {
   // Recursion cap. Every recursive path of the grammar re-enters through
   // ParsePrimary (parentheses, predicates, calls, nested FLWORs, enclosed
   // expressions) or ParseElementConstructor (nested literal constructors),
-  // so counting those two bounds the parser's stack and the depth of the
-  // tree the recursive analysis, printer and evaluator walk. The workload
-  // catalogs nest 4 levels at most.
+  // so counting those two bounds the parser's stack. `and` / `or` chains
+  // loop instead but build left-deep trees as deep as they are long, so a
+  // statement may hold at most kMaxNesting `and` / `or` nodes in all. That
+  // count, unlike a depth, does not depend on how parentheses group a
+  // chain, which the printer drops: Parse(Print(q)), as in WAL replay,
+  // accepts every statement Parse accepted. Together the two caps bound
+  // the depth of the tree the recursive analysis, printer, evaluator and
+  // destructor walk. The workload catalogs nest 4 levels and chain a few
+  // terms at most.
   static constexpr int kMaxNesting = 256;
 
   /// Holds one nesting level for its scope.
@@ -248,6 +254,7 @@ class Parser {
   Result<ExprPtr> ParseOr() {
     MCT_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAnd());
     while (ConsumeKeyword("or")) {
+      if (++chain_nodes_ > kMaxNesting) return TooDeep();
       MCT_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAnd());
       auto node = std::make_unique<Expr>(Expr::Kind::kOr);
       node->span = Union(lhs->span, rhs->span);
@@ -261,6 +268,7 @@ class Parser {
   Result<ExprPtr> ParseAnd() {
     MCT_ASSIGN_OR_RETURN(ExprPtr lhs, ParseComparison());
     while (ConsumeKeyword("and")) {
+      if (++chain_nodes_ > kMaxNesting) return TooDeep();
       MCT_ASSIGN_OR_RETURN(ExprPtr rhs, ParseComparison());
       auto node = std::make_unique<Expr>(Expr::Kind::kAnd);
       node->span = Union(lhs->span, rhs->span);
@@ -734,7 +742,8 @@ class Parser {
 
   std::string_view in_;
   size_t pos_ = 0;
-  int depth_ = 0;  // ParsePrimary / ParseElementConstructor frames
+  int depth_ = 0;        // ParsePrimary / ParseElementConstructor frames
+  int chain_nodes_ = 0;  // `and` / `or` nodes built so far
 };
 
 }  // namespace

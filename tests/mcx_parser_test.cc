@@ -3,6 +3,7 @@
 #include "mcx/ast.h"
 #include "mcx/evaluator.h"
 #include "mcx/parser.h"
+#include "mcx/printer.h"
 
 namespace mct::mcx {
 namespace {
@@ -262,6 +263,73 @@ TEST(ParserTest, NestingIsCappedWithASpannedError) {
     EXPECT_NE(s.message().find("nested deeper than"), std::string::npos) << s;
     EXPECT_NE(s.message().find("line 1 col"), std::string::npos) << s;
   }
+}
+
+/// `terms` copies of "1 = 1" joined by `op`.
+std::string Chain(const std::string& op, int terms) {
+  std::string out = "1 = 1";
+  for (int i = 1; i < terms; ++i) out += " " + op + " 1 = 1";
+  return out;
+}
+
+TEST(ParserTest, AndOrChainsCountAgainstTheNestingCap) {
+  // A chain builds a left-deep tree as deep as it is long, so a statement
+  // holds at most 256 `and` / `or` nodes: 257 terms parse, 258 and
+  // 100,000 (which tore down recursively past the stack before the cap)
+  // are refused with a span.
+  for (const std::string op : {"and", "or"}) {
+    EXPECT_TRUE(Parse(Chain(op, 257)).ok()) << op;
+    for (int terms : {258, 100000}) {
+      Status s = Parse(Chain(op, terms)).status();
+      EXPECT_TRUE(s.IsInvalidArgument()) << s;
+      EXPECT_NE(s.message().find("nested deeper than"), std::string::npos)
+          << s;
+      EXPECT_NE(s.message().find("line 1 col"), std::string::npos) << s;
+    }
+  }
+  // Every node counts, however parentheses split the chain.
+  EXPECT_TRUE(Parse(Nested("(", Chain("and", 100), ")", 100)).ok());
+  EXPECT_TRUE(Parse("(" + Chain("and", 200) + ") and " + Chain("and", 200))
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(Parse("(" + Chain("or", 200) + ") and " + Chain("or", 200))
+                  .status()
+                  .IsInvalidArgument());
+}
+
+TEST(ParserTest, EveryAcceptedChainReparsesFromItsPrint) {
+  // WAL replay parses Print(q), which drops the parentheses that split a
+  // chain, so whatever Parse accepts its printed form must parse too.
+  // Left-nested parentheses: ((1 = 1 and 1 = 1) and 1 = 1) and ...
+  auto left_nested = [](int levels) {
+    std::string out = "1 = 1";
+    for (int i = 0; i < levels; ++i) out = "(" + out + ") and 1 = 1";
+    return out;
+  };
+  const std::string where[] = {
+      "(" + Chain("and", 128) + ") and " + Chain("and", 129),
+      "(" + Chain("and", 200) + ") and " + Chain("and", 200),
+      "(" + Chain("or", 100) + ") and " + Chain("and", 157),
+      left_nested(200),
+      left_nested(255),
+      left_nested(300),
+  };
+  int accepted = 0;
+  for (const std::string& w : where) {
+    const std::string text = "for $m in document(\"d\")//movie where " + w +
+                             " update $m { replace votes with \"9\" }";
+    auto q = Parse(text);
+    if (!q.ok()) {
+      EXPECT_TRUE(q.status().IsInvalidArgument()) << q.status();
+      continue;
+    }
+    ++accepted;
+    const std::string printed = Print(*q);
+    auto again = Parse(printed);
+    ASSERT_TRUE(again.ok()) << again.status();
+    EXPECT_EQ(Print(*again), printed);
+  }
+  EXPECT_EQ(accepted, 4);
 }
 
 TEST(ParserTest, ErrorMessagesCarryLineColAndNearText) {

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -35,6 +36,8 @@
 #include "serialize/schema.h"
 #include "serve/server.h"
 #include "storage/fault_env.h"
+#include "workload/tpcw_data.h"
+#include "workload/tpcw_db.h"
 
 namespace mct {
 namespace {
@@ -395,6 +398,64 @@ TEST(MvccRetirementTest, ChurnedVersionsAndChunksAreReclaimed) {
             static_cast<int64_t>(head1) - static_cast<int64_t>(head0));
 }
 
+// A clone's first index write copies one directory and one bucket per image
+// it touches, plus the few node and tree chunks it edits, whatever the size
+// of the database: the census rises by the same small count at two TPC-W
+// scales, and dropping the clone gives every copy back.
+TEST(MvccRetirementTest, FirstWriteCopiesOneBucketPerImageAtAnyScale) {
+  std::map<std::string, std::vector<int64_t>> growth;
+  for (double scale : {0.05, 0.2}) {
+    auto t = workload::BuildTpcw(
+        workload::GenerateTpcw(workload::TpcwScale::Default().ScaledBy(scale)),
+        workload::SchemaKind::kMct);
+    ASSERT_TRUE(t.ok()) << t.status();
+    MctDatabase& db = *t->db;
+    const NodeId customer = db.TagScan(t->cust, "customer").front();
+    const NodeId uname = db.TagScan(t->cust, "uname").front();
+    // Not indexed until it gains a color: coloring it in the clone enters
+    // it into all three images.
+    auto probe = db.CreateFreeElement("probe");
+    ASSERT_TRUE(probe.ok());
+    ASSERT_TRUE(db.SetContent(*probe, "probe text").ok());
+    ASSERT_TRUE(db.SetAttr(*probe, "id", "probe").ok());
+
+    using Write = std::function<Status(MctDatabase&)>;
+    const std::vector<std::pair<std::string, Write>> writes = {
+        {"SetContent",
+         [&](MctDatabase& c) {
+           return c.SetContent(uname, db.Content(uname));
+         }},
+        {"SetAttr",
+         [&](MctDatabase& c) {
+           return c.SetAttr(customer, "id", *db.FindAttr(customer, "id"));
+         }},
+        {"AddNodeColor",
+         [&](MctDatabase& c) {
+           return c.AddNodeColor(*probe, t->cust, db.document());
+         }},
+    };
+    for (const auto& [name, write] : writes) {
+      const int64_t before = CowLiveChunks();
+      auto clone = db.CowClone(/*write_through=*/false);
+      EXPECT_EQ(CowLiveChunks(), before) << name << ": cloning copied";
+      ASSERT_TRUE(write(*clone).ok()) << name;
+      growth[name].push_back(CowLiveChunks() - before);
+      clone.reset();
+      EXPECT_EQ(CowLiveChunks(), before) << name << ": drop leaked";
+    }
+  }
+  // Rewriting one node's value costs its node chunk, the image's
+  // directory and the key's bucket.
+  EXPECT_EQ(growth["SetContent"], (std::vector<int64_t>{3, 3}));
+  EXPECT_EQ(growth["SetAttr"], (std::vector<int64_t>{3, 3}));
+  // Coloring a node adds a few store and tree chunks and a directory and
+  // a bucket in each of the three images.
+  const std::vector<int64_t>& colored = growth["AddNodeColor"];
+  EXPECT_EQ(colored[0], colored[1]);
+  EXPECT_GE(colored[0], 6);
+  EXPECT_LE(colored[0], 12);
+}
+
 // The gauges are written from authoritative state under the manager mutex,
 // so a ResetForTest racing live traffic heals on the next transition
 // instead of drifting by a lost delta.
@@ -481,6 +542,25 @@ TEST(ServeAdmissionTest, DeeplyNestedStatementsAreRefused) {
     ASSERT_FALSE(r.ok());
     EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status();
   }
+  auto read = (*session)->Run(kReads[0]);
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(read->items.size(), 3u);
+}
+
+TEST(ServeAdmissionTest, MillionTermAndChainIsRefused) {
+  FaultInjectionEnv env;
+  auto server = OpenServer(&env);
+  auto session = server->Connect();
+  ASSERT_TRUE(session.ok()) << session.status();
+  // About 10 MB of predicate; its left-deep tree used to overflow the stack
+  // when torn down.
+  std::string text =
+      "for $m in document(\"d\")/{red}descendant::movie where 1 = 1";
+  for (int i = 1; i < 1000000; ++i) text += " and 1 = 1";
+  text += " return $m";
+  auto r = (*session)->Run(text);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status();
   auto read = (*session)->Run(kReads[0]);
   ASSERT_TRUE(read.ok()) << read.status();
   EXPECT_EQ(read->items.size(), 3u);

@@ -5,7 +5,10 @@
 //   * every Definition 3.1/3.2 invariant holds (ValidateDatabase),
 //   * a snapshot save/load round-trip reproduces an isomorphic database,
 //   * InferSchema's projection of the maintained type counts equals the
-//     walk over every tree, before and after the round trip.
+//     walk over every tree, before and after the round trip,
+//   * run on a CowClone, the copy-on-write index images answer every
+//     TagScan / ContentLookup / AttrLookup as a full scan of the clone
+//     does, while the parent sharing them answers as before the batch.
 // Mutations that violate MCT preconditions (duplicate color, cross-tree
 // parent) must fail with a clean Status, never corrupt state.
 
@@ -13,6 +16,10 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <functional>
+#include <map>
+#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -33,15 +40,15 @@ const char* kTags[] = {"a", "b", "c", "item", "name"};
 const char* kColors[] = {"red", "green", "blue"};
 
 struct Model {
-  MctDatabase db;
+  std::unique_ptr<MctDatabase> db = std::make_unique<MctDatabase>();
   std::vector<ColorId> colors;
   std::vector<NodeId> nodes;  // every live element ever created, pruned lazily
 
   /// Nodes currently in `c`'s tree (always includes the document).
   std::vector<NodeId> InColor(ColorId c) const {
-    std::vector<NodeId> out{db.document()};
+    std::vector<NodeId> out{db->document()};
     for (NodeId n : nodes) {
-      if (db.store().Exists(n) && db.Colors(n).Has(c)) out.push_back(n);
+      if (db->store().Exists(n) && db->Colors(n).Has(c)) out.push_back(n);
     }
     return out;
   }
@@ -49,7 +56,7 @@ struct Model {
   void Prune() {
     std::vector<NodeId> live;
     for (NodeId n : nodes) {
-      if (db.store().Exists(n)) live.push_back(n);
+      if (db->store().Exists(n)) live.push_back(n);
     }
     nodes = std::move(live);
   }
@@ -64,7 +71,7 @@ void Mutate(Model& m, Rng& rng) {
     case 0:
     case 1: {  // grow: new element under a random parent of a random tree
       NodeId parent = rng.Pick(m.InColor(c));
-      auto n = m.db.CreateElement(c, parent, kTags[rng.Uniform(5)]);
+      auto n = m.db->CreateElement(c, parent, kTags[rng.Uniform(5)]);
       ASSERT_TRUE(n.ok()) << n.status();
       m.nodes.push_back(*n);
       break;
@@ -72,9 +79,9 @@ void Mutate(Model& m, Rng& rng) {
     case 2: {  // recolor: give an existing node another color
       if (m.nodes.empty()) return;
       NodeId node = rng.Pick(m.nodes);
-      if (!m.db.store().Exists(node)) return;
+      if (!m.db->store().Exists(node)) return;
       NodeId parent = rng.Pick(m.InColor(c));
-      Status s = m.db.AddNodeColor(node, c, parent);
+      Status s = m.db->AddNodeColor(node, c, parent);
       // Duplicate color or a parent inside node's own subtree must be a
       // clean error, not corruption.
       if (!s.ok()) {
@@ -85,25 +92,25 @@ void Mutate(Model& m, Rng& rng) {
     case 3: {  // uncolor: detach a random subtree from one tree
       if (m.nodes.empty()) return;
       NodeId node = rng.Pick(m.nodes);
-      if (!m.db.store().Exists(node)) return;
-      if (!m.db.Colors(node).Has(c)) return;
-      ASSERT_TRUE(m.db.RemoveNodeColor(node, c).ok());
+      if (!m.db->store().Exists(node)) return;
+      if (!m.db->Colors(node).Has(c)) return;
+      ASSERT_TRUE(m.db->RemoveNodeColor(node, c).ok());
       m.Prune();
       break;
     }
     case 4: {  // content
       if (m.nodes.empty()) return;
       NodeId node = rng.Pick(m.nodes);
-      if (!m.db.store().Exists(node)) return;
+      if (!m.db->store().Exists(node)) return;
       ASSERT_TRUE(
-          m.db.SetContent(node, "v" + std::to_string(rng.Uniform(100))).ok());
+          m.db->SetContent(node, "v" + std::to_string(rng.Uniform(100))).ok());
       break;
     }
     case 5: {  // attribute
       if (m.nodes.empty()) return;
       NodeId node = rng.Pick(m.nodes);
-      if (!m.db.store().Exists(node)) return;
-      ASSERT_TRUE(m.db.SetAttr(node, "k" + std::to_string(rng.Uniform(3)),
+      if (!m.db->store().Exists(node)) return;
+      ASSERT_TRUE(m.db->SetAttr(node, "k" + std::to_string(rng.Uniform(3)),
                                std::to_string(rng.Uniform(100)))
                       .ok());
       break;
@@ -117,18 +124,181 @@ void Mutate(Model& m, Rng& rng) {
 void CreateColor(Model& m, Rng& rng, const std::string& name) {
   const ColorId from = rng.Pick(m.colors);
   const std::vector<NodeId> in = m.InColor(from);
-  auto c = m.db.RegisterColor(name);
+  auto c = m.db->RegisterColor(name);
   ASSERT_TRUE(c.ok()) << c.status();
   m.colors.push_back(*c);
   if (in.size() < 2) return;  // only the document
   NodeId root = in[1 + rng.Uniform(in.size() - 1)];
-  std::vector<std::pair<NodeId, NodeId>> stack{{m.db.document(), root}};
+  std::vector<std::pair<NodeId, NodeId>> stack{{m.db->document(), root}};
   while (!stack.empty()) {
     auto [parent, n] = stack.back();
     stack.pop_back();
-    ASSERT_TRUE(m.db.AddNodeColor(n, *c, parent).ok());
-    for (NodeId ch : m.db.Children(n, from)) stack.emplace_back(n, ch);
+    ASSERT_TRUE(m.db->AddNodeColor(n, *c, parent).ok());
+    for (NodeId ch : m.db->Children(n, from)) stack.emplace_back(n, ch);
   }
+}
+
+// ---- Index-image oracle ----
+
+/// The keys an index lookup can be probed with: (color, tag) for TagScan,
+/// (tag, content) for ContentLookup, (attr, value) for AttrLookup.
+struct Probes {
+  std::set<std::pair<ColorId, std::string>> tags;
+  std::set<std::pair<std::string, std::string>> contents;
+  std::set<std::pair<std::string, std::string>> attrs;
+
+  void Add(const Probes& o) {
+    tags.insert(o.tags.begin(), o.tags.end());
+    contents.insert(o.contents.begin(), o.contents.end());
+    attrs.insert(o.attrs.begin(), o.attrs.end());
+  }
+};
+
+/// Nodes carrying at least one color (the index-visible ones), by id.
+std::set<NodeId> IndexedNodes(const MctDatabase& db) {
+  std::set<NodeId> out;
+  for (ColorId c = 0; c < db.num_colors(); ++c) {
+    for (NodeId n : db.tree(c)->PreOrder(db.document())) out.insert(n);
+  }
+  return out;
+}
+
+/// Every (color, tag) of kTags, plus every (tag, content) and (attr,
+/// value) an indexed node of `db` holds.
+Probes ProbesOf(const MctDatabase& db) {
+  Probes p;
+  for (ColorId c = 0; c < db.num_colors(); ++c) {
+    for (const char* tag : kTags) p.tags.emplace(c, tag);
+  }
+  for (NodeId n : IndexedNodes(db)) {
+    if (db.store().HasContent(n)) p.contents.emplace(db.Tag(n), db.Content(n));
+    for (const NodeAttr& a : db.Attrs(n)) {
+      p.attrs.emplace(db.store().names().Name(a.name), a.value);
+    }
+  }
+  return p;
+}
+
+/// Answers keyed by a printable probe, so a mismatch names its key.
+using Answers = std::map<std::string, std::vector<NodeId>>;
+
+/// What the index images answer for `p`.
+Answers ImageAnswers(MctDatabase& db, const Probes& p) {
+  Answers out;
+  for (const auto& [c, tag] : p.tags) {
+    out["tag " + std::to_string(c) + " " + tag] = db.TagScan(c, tag);
+  }
+  for (const auto& [tag, value] : p.contents) {
+    out["content " + tag + "=" + value] = db.ContentLookup(tag, value);
+  }
+  for (const auto& [name, value] : p.attrs) {
+    out["attr " + name + "=" + value] = db.AttrLookup(name, value);
+  }
+  return out;
+}
+
+/// What a full scan of the trees and node payloads says the same lookups
+/// must return: TagScan in local document order, the value lookups by id.
+Answers ScanAnswers(const MctDatabase& db, const Probes& p) {
+  Answers out;
+  for (const auto& [c, tag] : p.tags) {
+    std::vector<NodeId>& hits = out["tag " + std::to_string(c) + " " + tag];
+    if (c >= db.num_colors()) continue;
+    for (NodeId n : db.tree(c)->PreOrder(db.document())) {
+      if (db.Kind(n) == xml::NodeKind::kElement && db.Tag(n) == tag) {
+        hits.push_back(n);
+      }
+    }
+  }
+  const std::set<NodeId> indexed = IndexedNodes(db);
+  for (const auto& [tag, value] : p.contents) {
+    std::vector<NodeId>& hits = out["content " + tag + "=" + value];
+    for (NodeId n : indexed) {
+      if (db.Tag(n) == tag && db.store().HasContent(n) &&
+          db.Content(n) == value) {
+        hits.push_back(n);
+      }
+    }
+  }
+  for (const auto& [name, value] : p.attrs) {
+    std::vector<NodeId>& hits = out["attr " + name + "=" + value];
+    for (NodeId n : indexed) {
+      const std::string* v = db.FindAttr(n, name);
+      if (v != nullptr && *v == value) hits.push_back(n);
+    }
+  }
+  return out;
+}
+
+/// Empties one key of each image in the clone: detaches every member of
+/// the fullest (color, tag) from its color, and moves every member of the
+/// fullest (tag, content) and (attr, value) to a fresh value. Returns the
+/// mutations that put the members back (into a later version).
+using Undo = std::vector<std::function<void(MctDatabase&)>>;
+Undo RemoveEveryMember(Model& m) {
+  MctDatabase& db = *m.db;
+  const Probes p = ProbesOf(db);
+  Undo undo;
+  // (color, tag): members still colored after the detach (their other
+  // colors keep them alive) are re-added under the document.
+  std::pair<ColorId, std::string> tag_key;
+  std::vector<NodeId> members;
+  for (const auto& key : p.tags) {
+    std::vector<NodeId> hits = db.TagScan(key.first, key.second);
+    if (hits.size() > members.size()) {
+      tag_key = key;
+      members = std::move(hits);
+    }
+  }
+  for (NodeId n : members) {
+    if (db.store().Exists(n) && db.Colors(n).Has(tag_key.first)) {
+      EXPECT_TRUE(db.RemoveNodeColor(n, tag_key.first).ok());
+    }
+  }
+  m.Prune();
+  EXPECT_TRUE(db.TagScan(tag_key.first, tag_key.second).empty());
+  for (NodeId n : members) {
+    undo.push_back([n, c = tag_key.first](MctDatabase& v) {
+      if (v.store().Exists(n) && !v.Colors(n).Has(c)) {
+        EXPECT_TRUE(v.AddNodeColor(n, c, v.document()).ok());
+      }
+    });
+  }
+  // (tag, content) and (attr, value): the fullest key of each.
+  auto fullest = [&](const auto& keys, auto lookup) {
+    std::pair<std::string, std::string> best;
+    std::vector<NodeId> best_hits;
+    for (const auto& key : keys) {
+      std::vector<NodeId> hits = lookup(key.first, key.second);
+      if (hits.size() > best_hits.size()) {
+        best = key;
+        best_hits = std::move(hits);
+      }
+    }
+    return std::make_pair(best, best_hits);
+  };
+  auto [content_key, with_content] =
+      fullest(p.contents, [&](const std::string& t, const std::string& v) {
+        return db.ContentLookup(t, v);
+      });
+  for (NodeId n : with_content) {
+    EXPECT_TRUE(db.SetContent(n, "moved").ok());
+    undo.push_back([n, value = content_key.second](MctDatabase& v) {
+      EXPECT_TRUE(v.SetContent(n, value).ok());
+    });
+  }
+  auto [attr_key, with_attr] =
+      fullest(p.attrs, [&](const std::string& a, const std::string& v) {
+        return db.AttrLookup(a, v);
+      });
+  for (NodeId n : with_attr) {
+    EXPECT_TRUE(db.SetAttr(n, attr_key.first, "moved").ok());
+    undo.push_back(
+        [n, name = attr_key.first, value = attr_key.second](MctDatabase& v) {
+          EXPECT_TRUE(v.SetAttr(n, name, value).ok());
+        });
+  }
+  return undo;
 }
 
 TEST(PropertyMctTest, RandomMutationBatchesStayValidAndRoundTrip) {
@@ -136,7 +306,7 @@ TEST(PropertyMctTest, RandomMutationBatchesStayValidAndRoundTrip) {
     Rng rng(seed);
     Model m;
     for (const char* name : kColors) {
-      auto c = m.db.RegisterColor(name);
+      auto c = m.db->RegisterColor(name);
       ASSERT_TRUE(c.ok());
       m.colors.push_back(*c);
     }
@@ -146,22 +316,22 @@ TEST(PropertyMctTest, RandomMutationBatchesStayValidAndRoundTrip) {
       for (int i = 0; i < 40; ++i) {
         Mutate(m, rng);
         if (::testing::Test::HasFatalFailure()) return;
-        EXPECT_TRUE(ProjectionMatchesWalk(m.db))
+        EXPECT_TRUE(ProjectionMatchesWalk(*m.db))
             << "seed " << seed << " batch " << batch << " step " << i;
       }
       CreateColor(m, rng, "batch" + std::to_string(batch));
       if (::testing::Test::HasFatalFailure()) return;
-      EXPECT_TRUE(ProjectionMatchesWalk(m.db))
+      EXPECT_TRUE(ProjectionMatchesWalk(*m.db))
           << "seed " << seed << " batch " << batch << " createColor";
-      ValidationReport report = ValidateDatabase(m.db);
+      ValidationReport report = ValidateDatabase(*m.db);
       EXPECT_TRUE(report.ok())
           << "seed " << seed << " batch " << batch << "\n"
           << report.ToString();
-      ASSERT_TRUE(SaveSnapshot(m.db, path).ok());
+      ASSERT_TRUE(SaveSnapshot(*m.db, path).ok());
       auto loaded = OpenSnapshot(path);
       ASSERT_TRUE(loaded.ok()) << loaded.status();
       std::string why;
-      EXPECT_TRUE(DatabasesIsomorphic(m.db, **loaded, &why))
+      EXPECT_TRUE(DatabasesIsomorphic(*m.db, **loaded, &why))
           << "seed " << seed << " batch " << batch << ": " << why;
       // The reloaded copy satisfies the same invariants.
       ValidationReport reloaded_report = ValidateDatabase(**loaded);
@@ -173,13 +343,55 @@ TEST(PropertyMctTest, RandomMutationBatchesStayValidAndRoundTrip) {
   }
 }
 
+// Every batch runs on a CowClone of the previous version: the clone's
+// index lookups must match a full scan of the clone, and the parent it
+// shares its images with must still answer as it did before the batch.
+// One batch empties a key of each image, the next puts its members back.
+TEST(PropertyMctTest, CloneIndexImagesMatchAScanAndLeaveTheParentFrozen) {
+  for (uint64_t seed : {3u, 11u, 29u}) {
+    Rng rng(seed);
+    Model m;
+    for (const char* name : kColors) {
+      auto c = m.db->RegisterColor(name);
+      ASSERT_TRUE(c.ok());
+      m.colors.push_back(*c);
+    }
+    for (int i = 0; i < 80; ++i) Mutate(m, rng);
+    if (::testing::Test::HasFatalFailure()) return;
+    Undo undo;
+    for (int batch = 0; batch < 10; ++batch) {
+      std::unique_ptr<MctDatabase> parent = std::move(m.db);
+      m.db = parent->CowClone(/*write_through=*/false);
+      const Probes before = ProbesOf(*parent);
+      const Answers parent_before = ImageAnswers(*parent, before);
+      if (batch == 4) {
+        undo = RemoveEveryMember(m);
+      } else if (batch == 5) {
+        for (const auto& put_back : undo) put_back(*m.db);
+        undo.clear();
+      } else {
+        for (int i = 0; i < 30; ++i) Mutate(m, rng);
+      }
+      if (::testing::Test::HasFatalFailure()) return;
+      Probes all = ProbesOf(*m.db);
+      all.Add(before);
+      EXPECT_EQ(ImageAnswers(*m.db, all), ScanAnswers(*m.db, all))
+          << "seed " << seed << " batch " << batch << ": clone";
+      EXPECT_EQ(ImageAnswers(*parent, all), ScanAnswers(*parent, all))
+          << "seed " << seed << " batch " << batch << ": parent";
+      EXPECT_EQ(ImageAnswers(*parent, before), parent_before)
+          << "seed " << seed << " batch " << batch << ": parent moved";
+    }
+  }
+}
+
 TEST(PropertyMctTest, DeterministicForFixedSeed) {
   // The generator is part of the test contract: a fixed seed must replay
   // the identical database (otherwise failures aren't reproducible).
   auto build = [](Model& m) {
     Rng rng(99);
     for (const char* name : kColors) {
-      m.colors.push_back(*m.db.RegisterColor(name));
+      m.colors.push_back(*m.db->RegisterColor(name));
     }
     for (int i = 0; i < 60; ++i) Mutate(m, rng);
   };
@@ -189,7 +401,7 @@ TEST(PropertyMctTest, DeterministicForFixedSeed) {
   Model b;
   build(b);
   std::string why;
-  EXPECT_TRUE(DatabasesIsomorphic(a.db, b.db, &why)) << why;
+  EXPECT_TRUE(DatabasesIsomorphic(*a.db, *b.db, &why)) << why;
 }
 
 }  // namespace

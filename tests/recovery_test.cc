@@ -294,6 +294,37 @@ TEST(RecoveryTest, SessionContinuesAcrossCrashesAndReopens) {
   EXPECT_GE((*s)->next_lsn(), 4u);
 }
 
+TEST(RecoveryTest, UpdateWithTheLongestAcceptedChainReplays) {
+  // The WAL logs the printed statement, which drops the parentheses that
+  // split a `where` chain; whatever the parser accepted must replay. U3
+  // guarded by `(c1 and ... and c<left>) and c1 and ... and c<right>`.
+  auto guarded_u3 = [](int left, int right) {
+    auto chain = [](int terms) {
+      std::string out = "1 = 1";
+      for (int i = 1; i < terms; ++i) out += " and 1 = 1";
+      return out;
+    };
+    return "for $m in document(\"d\")/{green}descendant::movie"
+           "[{green}child::name = \"Sunset Boulevard\"] where (" +
+           chain(left) + ") and " + chain(right) +
+           " update $m { replace {green}child::votes with \"9\" }";
+  };
+  FaultInjectionEnv env;
+  auto s = SetupSession(&env);
+  ASSERT_TRUE(s->Run(kUpdates[1]).ok());
+  // 399 `and` nodes: over the cap, refused before anything is logged.
+  EXPECT_TRUE(s->Run(guarded_u3(200, 200)).status().IsInvalidArgument());
+  // 256 `and` nodes: the most a statement may hold.
+  auto r = s->Run(guarded_u3(128, 129));
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_GT(r->updated_count, 0u);
+  env.SimulateCrash();
+  auto rec = RecoverDatabase(kDir, &env);
+  ASSERT_TRUE(rec.ok()) << rec.status();
+  EXPECT_EQ(rec->replayed_records, 3u);
+  ExpectState(rec->db.get(), 3);
+}
+
 TEST(RecoveryTest, MetricsCountAppendsFsyncsAndReplays) {
   MetricsRegistry::Global().ResetForTest();
   FaultInjectionEnv env;
