@@ -15,10 +15,11 @@
 //
 // MVCC (DESIGN.md §14): structural records live in a CowChunkVector keyed
 // by NodeId with engagement = tree membership, so a snapshot clone shares
-// every 64-node chunk a later commit does not touch. This is the
-// "copy-on-write at the structural-node level" of the MVCC design — a
-// commit that inserts under one parent privatizes only the chunks holding
-// that parent, its neighbors, and the new node. The backing record file is
+// every 64-node chunk, and every 128-chunk leaf above them, that a later
+// commit does not touch. This is the "copy-on-write at the structural-node
+// level" of the MVCC design — a commit that inserts under one parent
+// privatizes only the chunks holding that parent, its neighbors, and the
+// new node, and the leaves that hold those chunks. The backing record file is
 // shared across the lineage and written only when write_through is set.
 //
 // CowChunkVector references are stable only until the next Put/Mut/Erase
@@ -159,8 +160,11 @@ class ColoredTree {
   /// Bytes of the backing structural record file.
   uint64_t FileBytes() const { return struct_file_->SizeBytes(); }
 
-  /// COW chunks resident in this version (for the leak test baseline).
-  size_t ResidentChunks() const { return nodes_.num_chunks(); }
+  /// COW leaves and chunks resident in this version (for the leak test
+  /// baseline).
+  size_t ResidentChunks() const {
+    return nodes_.num_leaves() + nodes_.num_chunks();
+  }
 
  private:
   struct StructNode {

@@ -18,9 +18,11 @@
 // A conventional XML database is the single-color special case, which is
 // how the shallow and deep baselines of Section 7 are represented.
 //
-// MVCC (DESIGN.md §14): CowClone() snapshots the whole database in time
-// proportional to (nodes / 64): node and structural chunks are shared
-// copy-on-write, and the tag/content/attribute indexes are *resident
+// MVCC (DESIGN.md §14): CowClone() snapshots the whole database by copying
+// one leaf pointer per 8,192 node ids in the node store and in each colored
+// tree (0.5-1.0 us, and as much to drop, on scale-1 TPC-W): node and
+// structural records live in 64-slot chunks under 128-chunk leaves, both
+// shared copy-on-write, and the tag/content/attribute indexes are *resident
 // images* shared between versions at three levels — a fixed directory of
 // bucket pointers, the buckets (small maps from key to posting list), and
 // the posting lists. A version's write copies only the directory, the one
@@ -242,8 +244,9 @@ class MctDatabase {
   /// Table 1 statistics.
   DatabaseStats Stats() const;
 
-  /// COW chunks resident in this version — store, every colored tree, and
-  /// the index images' directories and buckets — the baseline the epoch-
+  /// COW units resident in this version — the leaves and chunks of the
+  /// store and of every colored tree, and the index images' directories and
+  /// buckets — the baseline the epoch-
   /// retirement leak test compares CowLiveChunks() against once all other
   /// versions are retired.
   size_t ResidentChunks() const;

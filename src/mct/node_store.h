@@ -8,12 +8,12 @@
 // Table 1.
 //
 // MVCC (DESIGN.md §14): the resident image lives in a CowChunkVector so a
-// snapshot version clones in O(nodes / 64) pointer copies and shares every
-// chunk a later commit does not touch. The backing files are shared across
-// the whole version lineage and written only by instances with
-// write_through enabled — the single committer chain. Detached clones
-// (reader snapshots, trial statement sandboxes) never touch the files, so
-// any number of them may exist concurrently.
+// snapshot version clones by copying one leaf pointer per 8,192 nodes and
+// shares every leaf and chunk a later commit does not touch. The backing
+// files are shared across the whole version lineage and written only by
+// instances with write_through enabled — the single committer chain.
+// Detached clones (reader snapshots, trial statement sandboxes) never touch
+// the files, so any number of them may exist concurrently.
 
 #ifndef COLORFUL_XML_MCT_NODE_STORE_H_
 #define COLORFUL_XML_MCT_NODE_STORE_H_
@@ -114,8 +114,11 @@ class NodeStore {
            backing_->attr_value_file.SizeBytes();
   }
 
-  /// COW chunks resident in this version (for the leak test baseline).
-  size_t ResidentChunks() const { return nodes_.num_chunks(); }
+  /// COW leaves and chunks resident in this version (for the leak test
+  /// baseline).
+  size_t ResidentChunks() const {
+    return nodes_.num_leaves() + nodes_.num_chunks();
+  }
 
  private:
   // Backing-file image of the fixed-size part of a node.

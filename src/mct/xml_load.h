@@ -17,12 +17,15 @@ namespace mct {
 /// Loads `elem`'s subtree into `db` under `parent` in `color`; returns the
 /// node created for `elem`. Text children become the element's content
 /// (concatenated); comments and processing instructions are dropped (the
-/// engine stores element structure and content, Section 6.2).
+/// engine stores element structure and content, Section 6.2). Recurses
+/// once per level, so `elem` should come from xml::Parse, whose depth cap
+/// (xml::kMaxDepth) bounds the recursion.
 Result<NodeId> LoadXmlElement(MctDatabase* db, ColorId color, NodeId parent,
                               const xml::Element& elem);
 
 /// Parses `text` and loads the document under db->document() in `color`.
-/// Returns the root element's node.
+/// Returns the root element's node; a ParseError for malformed text or for
+/// text nested deeper than xml::kMaxDepth.
 Result<NodeId> LoadXmlText(MctDatabase* db, ColorId color,
                            std::string_view text);
 

@@ -247,7 +247,9 @@ Result<std::unique_ptr<MctDatabase>> ImportXml(const std::string& xml) {
   };
   std::vector<RawRef> raw_refs;
   // Recursive import of elements and nested edges; non-primary refs are
-  // collected textually and resolved once the id map is complete.
+  // collected textually and resolved once the id map is complete. The
+  // recursion is as deep as the document, which xml::Parse caps at
+  // xml::kMaxDepth.
   std::function<Result<NodeId>(const xml::Element&, NodeId, ColorId)> imp =
       [&](const xml::Element& e, NodeId xml_parent,
           ColorId parent_pc) -> Result<NodeId> {

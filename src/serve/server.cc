@@ -62,7 +62,10 @@ Status Session::Begin() {
   pin_ = server_->mvcc_.PinHead();
   // Detached clone: the evaluator mutates its database (lazy relabeling,
   // free nodes for RETURN constructors), and the pinned version is a
-  // frozen snapshot shared with every other session at this epoch.
+  // frozen snapshot shared with every other session at this epoch. The
+  // clone copies one leaf pointer per 8,192 nodes of the store and of each
+  // colored tree, about 1 us on scale-1 TPC-W (DESIGN.md §14), well below
+  // a point read's own evaluation.
   reader_ = pin_.db()->CowClone(/*write_through=*/false);
   return Status::OK();
 }

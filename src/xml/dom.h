@@ -81,6 +81,8 @@ class Element {
   std::string name_;
   std::string text_;
   std::vector<Attr> attrs_;
+  // Destruction recurses through children_ once per level; xml::Parse caps
+  // the depth of the trees it builds (kMaxDepth in xml/parser.h).
   std::vector<std::unique_ptr<Element>> children_;
 };
 

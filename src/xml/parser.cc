@@ -92,6 +92,10 @@ class Parser {
 
   Result<std::unique_ptr<Element>> ParseElement() {
     if (AtEnd() || Peek() != '<') return Err("expected '<'");
+    if (depth_ == kMaxDepth) {
+      return Err(StrFormat("element nested deeper than %d levels", kMaxDepth));
+    }
+    ++depth_;
     ++pos_;
     MCT_ASSIGN_OR_RETURN(std::string name, ParseName());
     auto elem = std::make_unique<Element>(std::move(name));
@@ -123,6 +127,7 @@ class Parser {
     }
     if (Lookahead("/>")) {
       pos_ += 2;
+      --depth_;
       return elem;
     }
     ++pos_;  // '>'
@@ -140,6 +145,7 @@ class Parser {
         SkipWs();
         if (AtEnd() || Peek() != '>') return Err("expected '>' in close tag");
         ++pos_;
+        --depth_;
         return elem;
       }
       if (Lookahead("<!--")) {
@@ -195,6 +201,7 @@ class Parser {
 
   std::string_view in_;
   size_t pos_ = 0;
+  int depth_ = 0;  // elements open around the cursor
 };
 
 }  // namespace

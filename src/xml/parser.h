@@ -14,7 +14,14 @@
 
 namespace mct::xml {
 
-/// Parses a whole document; ParseError (with offset info) on malformed input.
+/// Deepest element nesting Parse accepts (the root is level 1). Parsing,
+/// LoadXmlElement, ImportXml and the DOM's destructor each recurse once per
+/// level, so a document nested without bound would overflow the stack;
+/// real documents nest a few dozen levels at most.
+inline constexpr int kMaxDepth = 1024;
+
+/// Parses a whole document; ParseError (with offset info) on malformed input
+/// and on elements nested deeper than kMaxDepth.
 Result<Document> Parse(std::string_view input);
 
 }  // namespace mct::xml

@@ -2,7 +2,10 @@
 
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "common/cow.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -213,6 +216,133 @@ TEST(TimerTest, MeasuresElapsed) {
   (void)sink;
   EXPECT_GE(t.ElapsedSeconds(), 0.0);
   EXPECT_GE(t.ElapsedMicros(), t.ElapsedMillis());
+}
+
+// ---- CowChunkVector ----
+
+using CowVec = CowChunkVector<std::string>;
+using CowModel = std::map<size_t, std::string>;
+
+// Checks `vec` against `model` through every read: count(), num_chunks(),
+// num_leaves(), ForEach order and values, and Find on the model's keys and
+// on their chunk neighbours.
+void ExpectMatches(const CowVec& vec, const CowModel& model,
+                   const std::string& what) {
+  SCOPED_TRACE(what);
+  std::set<size_t> chunks, leaves;
+  for (const auto& [i, v] : model) {
+    chunks.insert(i / CowVec::kChunkSlots);
+    leaves.insert(i / CowVec::kLeafSlots);
+  }
+  ASSERT_EQ(vec.count(), model.size());
+  ASSERT_EQ(vec.num_chunks(), chunks.size());
+  ASSERT_EQ(vec.num_leaves(), leaves.size());
+  using Entries = std::vector<std::pair<size_t, std::string>>;
+  Entries seen;
+  vec.ForEach([&](size_t i, const std::string& v) { seen.emplace_back(i, v); });
+  ASSERT_EQ(seen, Entries(model.begin(), model.end()));
+  for (const auto& [i, v] : model) {
+    ASSERT_NE(vec.Find(i), nullptr) << i;
+    ASSERT_EQ(*vec.Find(i), v) << i;
+    for (size_t j : {i + 1, i + CowVec::kChunkSlots}) {
+      auto it = model.find(j);
+      ASSERT_EQ(vec.Contains(j), it != model.end()) << j;
+    }
+  }
+}
+
+// A seeded random walk of Put/Mut/Erase over four leaves' worth of slots,
+// against a std::map model per version. Clones (of the head and of other
+// clones) are taken and dropped at random steps and written too, so every
+// leaf and chunk is shared by several versions when it is written. After
+// every step each live version must still read exactly its own model —
+// a write to one version never shows in another — and once every version
+// is dropped the census is back where it started.
+TEST(CowChunkVectorTest, RandomWritesNeverReachOtherVersions) {
+  const int64_t live0 = CowLiveChunks();
+  int leaf_drops = 0;
+  {
+    struct Version {
+      CowVec vec;
+      CowModel model;
+    };
+    std::vector<Version> versions(1);  // [0] is the head
+    versions.reserve(12);
+    Rng rng(20261018);
+    // A few chunks per leaf, at both ends of it, and few slots per chunk,
+    // so erases empty whole chunks and leaves as often as puts fill them.
+    const size_t kChunkPicks[] = {0, 1, 64, CowVec::kLeafChunks - 1};
+    auto pick = [&] {
+      return rng.Uniform(4) * CowVec::kLeafSlots +
+             kChunkPicks[rng.Uniform(4)] * CowVec::kChunkSlots +
+             rng.Uniform(8);
+    };
+    for (int step = 0; step < 3000; ++step) {
+      // Versions pile up, then drain: some steps write, some clone.
+      const double erase_p = (step / 250) % 2 == 0 ? 0.3 : 0.7;
+      Version& v =
+          versions[rng.Bernoulli(0.7) ? 0 : rng.Uniform(versions.size())];
+      const std::string value = "v" + std::to_string(step);
+      const double op = rng.UniformDouble();
+      if (op < 0.05) {
+        if (versions.size() < 12) versions.push_back(v);
+      } else if (op < 0.08) {
+        if (versions.size() > 1) {
+          versions.erase(versions.begin() + 1 +
+                         rng.Uniform(versions.size() - 1));
+        }
+      } else if (op < 0.08 + erase_p * 0.92) {
+        // Erase an engaged slot, or (a quarter of the time) any slot.
+        size_t i = pick();
+        if (!v.model.empty() && rng.Bernoulli(0.75)) {
+          auto it = v.model.begin();
+          std::advance(it, rng.Uniform(v.model.size()));
+          i = it->first;
+        }
+        std::set<size_t> leaves_before;
+        for (const auto& [k, x] : v.model) {
+          leaves_before.insert(k / CowVec::kLeafSlots);
+        }
+        const int64_t census = CowLiveChunks();
+        v.vec.Erase(i);
+        if (v.model.erase(i) == 0) {
+          EXPECT_EQ(CowLiveChunks(), census) << "erasing nothing copied";
+        }
+        leaf_drops += static_cast<int>(leaves_before.size()) -
+                      static_cast<int>(v.vec.num_leaves());
+      } else if (rng.Bernoulli(0.5) && !v.model.empty()) {
+        auto it = v.model.begin();
+        std::advance(it, rng.Uniform(v.model.size()));
+        if (rng.Bernoulli(0.5)) {
+          v.vec.Mut(it->first) = value;
+        } else {
+          std::string* p = v.vec.MutableFind(it->first);
+          ASSERT_NE(p, nullptr);
+          *p = value;
+        }
+        it->second = value;
+      } else {
+        const size_t i = pick();
+        std::string& slot = v.vec.Put(i);
+        auto it = v.model.find(i);
+        ASSERT_EQ(slot, it == v.model.end() ? "" : it->second) << i;
+        slot = value;
+        v.model[i] = value;
+        EXPECT_EQ(v.vec.MutableFind(i + 8), nullptr);  // outside the picks
+      }
+      for (size_t k = 0; k < versions.size(); ++k) {
+        ExpectMatches(versions[k].vec, versions[k].model,
+                      "step " + std::to_string(step) + ", version " +
+                          std::to_string(k));
+        if (testing::Test::HasFatalFailure()) return;
+      }
+      // Past the last leaf reads nothing and copies nothing.
+      EXPECT_EQ(versions[0].vec.Find(5 * CowVec::kLeafSlots), nullptr);
+    }
+    EXPECT_GT(CowLiveChunks(), live0);
+  }
+  EXPECT_GT(leaf_drops, 0) << "the walk never emptied a leaf";
+  EXPECT_EQ(CowLiveChunks(), live0) << "dropping every version leaked";
 }
 
 }  // namespace

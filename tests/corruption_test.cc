@@ -16,8 +16,10 @@
 #include "common/crc32c.h"
 #include "mct/snapshot.h"
 #include "mct/validate.h"
+#include "mct/xml_load.h"
 #include "movie_fixture.h"
 #include "serialize/exchange.h"
+#include "xml/parser.h"
 
 namespace mct {
 namespace {
@@ -250,6 +252,57 @@ TEST(CorruptionTest, ExchangeRoundTripSurvivesTruncation) {
       ValidationReport report = ValidateDatabase(**db);
       EXPECT_TRUE(report.ok()) << "truncated at " << len;
     }
+  }
+}
+
+// `depth` nested <a> elements around `body`.
+std::string NestedA(size_t depth, const std::string& body = "") {
+  std::string s;
+  for (size_t i = 0; i < depth; ++i) s += "<a>";
+  s += body;
+  for (size_t i = 0; i < depth; ++i) s += "</a>";
+  return s;
+}
+
+// An exchange document whose elements nest `depth` levels, the
+// <mct-database> wrapper included: a chain of <a> in color "red".
+std::string NestedExchange(size_t depth) {
+  return "<mct-database colors=\"red\"><a mct.pc=\"red\">" +
+         NestedA(depth - 2) + "</a></mct-database>";
+}
+
+// LoadXmlElement and ImportXml recurse once per element level over the
+// parsed DOM; the parser's depth cap is what bounds them. At the cap both
+// load a consistent chain and the database tears down; past it both refuse
+// with a ParseError and the process keeps running.
+TEST(CorruptionTest, XmlNestedPastTheDepthCapIsRefused) {
+  const size_t cap = xml::kMaxDepth;
+  {
+    MctDatabase db;
+    ColorId c = *db.RegisterColor("doc");
+    auto root = LoadXmlText(&db, c, NestedA(cap, "leaf"));
+    ASSERT_TRUE(root.ok()) << root.status();
+    EXPECT_EQ(db.TagScan(c, "a").size(), cap);
+    EXPECT_TRUE(ValidateDatabase(db).ok());
+  }
+  {
+    auto db = serialize::ImportXml(NestedExchange(cap));
+    ASSERT_TRUE(db.ok()) << db.status();
+    EXPECT_EQ((*db)->TagScan((*db)->LookupColor("red"), "a").size(), cap - 1);
+    EXPECT_TRUE(ValidateDatabase(**db).ok());
+  }
+  MctDatabase db;
+  ColorId c = *db.RegisterColor("doc");
+  for (size_t depth : {cap + 1, size_t{1000000}}) {
+    auto root = LoadXmlText(&db, c, NestedA(depth));
+    ASSERT_FALSE(root.ok()) << depth;
+    EXPECT_TRUE(root.status().IsParseError()) << root.status();
+    auto imported = serialize::ImportXml(NestedExchange(depth));
+    ASSERT_FALSE(imported.ok()) << depth;
+    EXPECT_TRUE(imported.status().IsParseError()) << imported.status();
+    EXPECT_NE(imported.status().message().find("nested deeper than 1024"),
+              std::string::npos)
+        << imported.status();
   }
 }
 

@@ -134,6 +134,41 @@ TEST(ParserTest, Errors) {
   EXPECT_TRUE(Parse("<a>&nosuch;</a>").status().IsParseError());
 }
 
+// `depth` nested <a> elements; the k-th opens at offset 3 * (k - 1).
+std::string Nested(size_t depth) {
+  std::string s;
+  s.reserve(depth * 7);
+  for (size_t i = 0; i < depth; ++i) s += "<a>";
+  for (size_t i = 0; i < depth; ++i) s += "</a>";
+  return s;
+}
+
+// Parsing and the DOM's destructor recurse once per level, so nesting is
+// capped: the deepest accepted document parses and tears down, and one
+// level more — or a million — is a ParseError naming the offset of the
+// first element past the cap, not a stack overflow.
+TEST(ParserTest, NestingIsCappedAtMaxDepth) {
+  {
+    auto doc = Parse(Nested(kMaxDepth));
+    ASSERT_TRUE(doc.ok()) << doc.status();
+    EXPECT_EQ(doc->root->SubtreeSize(), static_cast<size_t>(kMaxDepth));
+  }
+  for (size_t depth : {static_cast<size_t>(kMaxDepth) + 1, size_t{1000000}}) {
+    auto doc = Parse(Nested(depth));
+    ASSERT_FALSE(doc.ok()) << depth;
+    EXPECT_TRUE(doc.status().IsParseError()) << doc.status();
+    EXPECT_EQ(doc.status().message(),
+              "element nested deeper than 1024 levels at offset 3072");
+  }
+  // The cap counts open elements, not elements seen: siblings do not add.
+  std::string wide = "<r>";
+  for (int i = 0; i < 2 * kMaxDepth; ++i) wide += "<a><b/></a>";
+  wide += "</r>";
+  auto doc = Parse(wide);
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  EXPECT_EQ(doc->root->children().size(), static_cast<size_t>(2 * kMaxDepth));
+}
+
 TEST(WriterTest, CompactRoundTrip) {
   std::string src =
       "<mdb><movie id=\"m1\" genre=\"comedy\"><name>All About Eve</name>"
