@@ -4,7 +4,9 @@
 // datasets.
 //
 // Expected shape (paper): deep has far more elements/attrs/content than
-// MCT == shallow; data and index sizes order shallow < MCT <= deep.
+// MCT == shallow; data and index sizes order shallow < MCT <= deep. Sizes
+// come from MctDatabase::Stats()'s page model, a function of the loaded
+// version alone (DESIGN.md §2).
 
 #include <cstdio>
 
@@ -50,7 +52,7 @@ int main(int argc, char** argv) {
                      db.status().ToString().c_str());
         return 1;
       }
-      // Force labels so index/scan structures are fully materialized.
+      // Label every tree so the build time includes the interval labels.
       for (mct::ColorId c = 0; c < db->db->num_colors(); ++c) {
         db->db->tree(c)->EnsureLabels();
       }

@@ -6,39 +6,6 @@
 
 namespace mct {
 
-namespace {
-
-// On-disk structural record (one per node per color).
-struct DiskStructRecord {
-  NodeId node;
-  NodeId parent;
-  NodeId first_child;
-  NodeId last_child;
-  NodeId next_sibling;
-  NodeId prev_sibling;
-  uint64_t start;
-  uint64_t end;
-  uint32_t level;
-  uint32_t pad = 0;
-};
-static_assert(sizeof(DiskStructRecord) == 48);
-
-}  // namespace
-
-ColoredTree::ColoredTree(ColorId color, StorageEnv* env)
-    : color_(color),
-      struct_file_(
-          std::make_shared<RecordFile>(env->pool(), sizeof(DiskStructRecord))) {
-}
-
-ColoredTree::ColoredTree(const ColoredTree& o, bool write_through)
-    : color_(o.color_),
-      root_(o.root_),
-      nodes_(o.nodes_),
-      struct_file_(o.struct_file_),
-      write_through_(write_through),
-      labels_dirty_(o.labels_dirty_) {}
-
 Status ColoredTree::SetRoot(NodeId node) {
   if (root_ != kInvalidNodeId) {
     return Status::AlreadyExists("colored tree already has a root");
@@ -46,7 +13,6 @@ Status ColoredTree::SetRoot(NodeId node) {
   root_ = node;
   StructNode& sn = nodes_.Put(node);
   sn.level = 0;
-  MCT_RETURN_IF_ERROR(AppendStructRecord(node));
   labels_dirty_ = true;
   return Status::OK();
 }
@@ -76,13 +42,12 @@ Status ColoredTree::InsertChild(NodeId parent, NodeId child, NodeId before) {
   StructNode& sn = nodes_.Put(child);
   sn.parent = parent;
   sn.level = parent_level + 1;
-  MCT_RETURN_IF_ERROR(LinkChild(parent, child, before));
-  MCT_RETURN_IF_ERROR(AppendStructRecord(child));
+  LinkChild(parent, child, before);
   if (!labels_dirty_) TryGapLabel(child);
   return Status::OK();
 }
 
-Status ColoredTree::LinkChild(NodeId parent, NodeId child, NodeId before) {
+void ColoredTree::LinkChild(NodeId parent, NodeId child, NodeId before) {
   // Mut() may copy the chunk another reference points into, so sibling and
   // parent fields are updated one Mut at a time, never holding two
   // references at once.
@@ -91,7 +56,6 @@ Status ColoredTree::LinkChild(NodeId parent, NodeId child, NodeId before) {
     nodes_.Mut(child).prev_sibling = last;
     if (last != kInvalidNodeId) {
       nodes_.Mut(last).next_sibling = child;
-      MCT_RETURN_IF_ERROR(WriteStructRecord(last));
     } else {
       nodes_.Mut(parent).first_child = child;
     }
@@ -105,14 +69,11 @@ Status ColoredTree::LinkChild(NodeId parent, NodeId child, NodeId before) {
     }
     if (prev != kInvalidNodeId) {
       nodes_.Mut(prev).next_sibling = child;
-      MCT_RETURN_IF_ERROR(WriteStructRecord(prev));
     } else {
       nodes_.Mut(parent).first_child = child;
     }
     nodes_.Mut(before).prev_sibling = child;
-    MCT_RETURN_IF_ERROR(WriteStructRecord(before));
   }
-  return WriteStructRecord(parent);
 }
 
 void ColoredTree::TryGapLabel(NodeId node) {
@@ -134,8 +95,6 @@ void ColoredTree::TryGapLabel(NodeId node) {
     m.start = lo + third;
     m.end = lo + 2 * third;
   }
-  Status s = WriteStructRecord(node);
-  (void)s;
 }
 
 Status ColoredTree::DetachSubtree(NodeId node, std::vector<NodeId>* removed) {
@@ -154,17 +113,14 @@ Status ColoredTree::DetachSubtree(NodeId node, std::vector<NodeId>* removed) {
   NodeId next = it->next_sibling;
   if (prev != kInvalidNodeId) {
     nodes_.Mut(prev).next_sibling = next;
-    MCT_RETURN_IF_ERROR(WriteStructRecord(prev));
   } else {
     nodes_.Mut(parent).first_child = next;
   }
   if (next != kInvalidNodeId) {
     nodes_.Mut(next).prev_sibling = prev;
-    MCT_RETURN_IF_ERROR(WriteStructRecord(next));
   } else {
     nodes_.Mut(parent).last_child = prev;
   }
-  MCT_RETURN_IF_ERROR(WriteStructRecord(parent));
   // Remove the whole subtree from the member set.
   std::vector<NodeId> stack{node};
   while (!stack.empty()) {
@@ -172,12 +128,6 @@ Status ColoredTree::DetachSubtree(NodeId node, std::vector<NodeId>* removed) {
     stack.pop_back();
     removed->push_back(n);
     const StructNode& sn = nodes_.At(n);
-    if (write_through_) {
-      // Tombstone the backing record.
-      DiskStructRecord dead{};
-      dead.node = kInvalidNodeId;
-      MCT_RETURN_IF_ERROR(struct_file_->Write(sn.file_index, &dead));
-    }
     for (NodeId ch = sn.first_child; ch != kInvalidNodeId;
          ch = nodes_.At(ch).next_sibling) {
       stack.push_back(ch);
@@ -310,47 +260,10 @@ void ColoredTree::Relabel() {
       }
     } else {
       nodes_.Mut(f.node).end = (++event) * kLabelGap;
-      Status s = WriteStructRecord(f.node);
-      (void)s;
       stack.pop_back();
     }
   }
   labels_dirty_ = false;
-}
-
-Status ColoredTree::WriteStructRecord(NodeId node) {
-  if (!write_through_) return Status::OK();
-  const StructNode& sn = nodes_.At(node);
-  DiskStructRecord rec{node,
-                       sn.parent,
-                       sn.first_child,
-                       sn.last_child,
-                       sn.next_sibling,
-                       sn.prev_sibling,
-                       sn.start,
-                       sn.end,
-                       sn.level,
-                       0};
-  if (sn.file_index >= struct_file_->num_records()) return Status::OK();
-  return struct_file_->Write(sn.file_index, &rec);
-}
-
-Status ColoredTree::AppendStructRecord(NodeId node) {
-  if (!write_through_) return Status::OK();
-  const StructNode& sn = nodes_.At(node);
-  DiskStructRecord rec{node,
-                       sn.parent,
-                       sn.first_child,
-                       sn.last_child,
-                       sn.next_sibling,
-                       sn.prev_sibling,
-                       sn.start,
-                       sn.end,
-                       sn.level,
-                       0};
-  MCT_ASSIGN_OR_RETURN(uint64_t idx, struct_file_->Append(&rec));
-  nodes_.Mut(node).file_index = idx;
-  return Status::OK();
 }
 
 }  // namespace mct

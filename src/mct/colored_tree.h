@@ -19,8 +19,7 @@
 // commit does not touch. This is the "copy-on-write at the structural-node
 // level" of the MVCC design — a commit that inserts under one parent
 // privatizes only the chunks holding that parent, its neighbors, and the
-// new node, and the leaves that hold those chunks. The backing record file is
-// shared across the lineage and written only when write_through is set.
+// new node, and the leaves that hold those chunks.
 //
 // CowChunkVector references are stable only until the next Put/Mut/Erase
 // on the same instance (which may copy the chunk they point into), so the
@@ -40,7 +39,6 @@
 #include "common/result.h"
 #include "mct/color.h"
 #include "mct/node_store.h"
-#include "storage/record_file.h"
 
 namespace mct {
 
@@ -55,13 +53,10 @@ inline Counter* TreeChildIterCounter() {
 
 class ColoredTree {
  public:
-  ColoredTree(ColorId color, StorageEnv* env);
+  explicit ColoredTree(ColorId color) : color_(color) {}
 
-  /// COW clone: shares every structural chunk and the backing record file
-  /// with `o`. Detached clones (write_through false) never write the file.
-  ColoredTree(const ColoredTree& o, bool write_through);
-
-  ColoredTree(const ColoredTree&) = delete;
+  /// COW clone: shares every structural chunk with `o`.
+  ColoredTree(const ColoredTree& o) = default;
   ColoredTree& operator=(const ColoredTree&) = delete;
 
   ColorId color() const { return color_; }
@@ -157,9 +152,6 @@ class ColoredTree {
 
   size_t size() const { return nodes_.count(); }
 
-  /// Bytes of the backing structural record file.
-  uint64_t FileBytes() const { return struct_file_->SizeBytes(); }
-
   /// COW leaves and chunks resident in this version (for the leak test
   /// baseline).
   size_t ResidentChunks() const {
@@ -176,25 +168,20 @@ class ColoredTree {
     uint64_t start = 0;
     uint64_t end = 0;
     uint32_t level = 0;
-    uint64_t file_index = 0;
   };
 
   // Gap between consecutive pre-order events after a full relabel.
   static constexpr uint64_t kLabelGap = 1ULL << 16;
 
-  Status LinkChild(NodeId parent, NodeId child, NodeId before);
+  void LinkChild(NodeId parent, NodeId child, NodeId before);
   /// Tries to label a freshly inserted leaf within its neighbors' gap;
   /// marks the tree dirty when the gap is exhausted.
   void TryGapLabel(NodeId node);
   void Relabel();
-  Status WriteStructRecord(NodeId node);
-  Status AppendStructRecord(NodeId node);
 
   ColorId color_;
   NodeId root_ = kInvalidNodeId;
   CowChunkVector<StructNode> nodes_;
-  std::shared_ptr<RecordFile> struct_file_;
-  bool write_through_ = true;
   bool labels_dirty_ = true;
 };
 

@@ -8,15 +8,8 @@
 
 namespace mct {
 
-MctDatabase::MctDatabase() : MctDatabase(StorageEnv::CreateInMemory()) {}
-
-MctDatabase::MctDatabase(std::unique_ptr<StorageEnv> env)
-    : env_(std::move(env)),
-      store_(env_.get()),
-      tag_index_(std::make_shared<BPlusTree>(env_->pool())),
-      content_index_(std::make_shared<BPlusTree>(env_->pool())),
-      attr_index_(std::make_shared<BPlusTree>(env_->pool())),
-      tag_image_(std::make_shared<ImageDirectory>()),
+MctDatabase::MctDatabase()
+    : tag_image_(std::make_shared<ImageDirectory>()),
       content_image_(std::make_shared<ImageDirectory>()),
       attr_image_(std::make_shared<ImageDirectory>()),
       edge_counts_(std::make_shared<EdgeCounts>()) {
@@ -25,29 +18,24 @@ MctDatabase::MctDatabase(std::unique_ptr<StorageEnv> env)
   document_ = *doc;
 }
 
-MctDatabase::MctDatabase(const MctDatabase& o, bool write_through)
-    : env_(o.env_),
-      store_(o.store_, write_through),
+MctDatabase::MctDatabase(const MctDatabase& o)
+    : store_(o.store_),
       colors_(o.colors_),
       document_(o.document_),
-      tag_index_(o.tag_index_),
-      content_index_(o.content_index_),
-      attr_index_(o.attr_index_),
       tag_image_(o.tag_image_),
       content_image_(o.content_image_),
       attr_image_(o.attr_image_),
       edge_counts_(o.edge_counts_),
       shard_map_(o.shard_map_),
-      shard_count_(o.shard_count_),
-      write_through_(write_through) {
+      shard_count_(o.shard_count_) {
   trees_.reserve(o.trees_.size());
   for (const auto& t : o.trees_) {
-    trees_.push_back(std::make_unique<ColoredTree>(*t, write_through));
+    trees_.push_back(std::make_unique<ColoredTree>(*t));
   }
 }
 
-std::unique_ptr<MctDatabase> MctDatabase::CowClone(bool write_through) const {
-  return std::unique_ptr<MctDatabase>(new MctDatabase(*this, write_through));
+std::unique_ptr<MctDatabase> MctDatabase::CowClone() const {
+  return std::unique_ptr<MctDatabase>(new MctDatabase(*this));
 }
 
 MctDatabase::~MctDatabase() = default;
@@ -100,7 +88,7 @@ Result<ColorId> MctDatabase::RegisterColor(std::string_view name) {
   shard_map_.reset();  // color count changes; rebuild lazily
   MCT_ASSIGN_OR_RETURN(ColorId id, colors_.Register(name));
   assert(id == trees_.size());
-  trees_.push_back(std::make_unique<ColoredTree>(id, env_.get()));
+  trees_.push_back(std::make_unique<ColoredTree>(id));
   MCT_RETURN_IF_ERROR(trees_[id]->SetRoot(document_));
   store_.AddColor(document_, id);
   return id;
@@ -135,13 +123,6 @@ Status MctDatabase::AddNodeColor(NodeId node, ColorId color, NodeId parent,
       ++(*CowOwn(edge_counts_))[EdgeKey{color, store_.Name(parent),
                                         store_.Name(node)}];
     }
-    if (write_through_) {
-      // Accounting mirror; a discarded trial clone can leave stale entries
-      // behind, so B+Tree maintenance tolerates conflicts.
-      Status s = tag_index_->Insert(
-          IndexKey::Make(color, store_.Name(node), 0, node), node);
-      (void)s;
-    }
   }
   if (first_color) {
     // The node enters the database: its content and attribute values
@@ -150,21 +131,9 @@ Status MctDatabase::AddNodeColor(NodeId node, ColorId color, NodeId parent,
       ImageInsert(&content_image_,
                   ValueKey(store_.Name(node), HashValue(store_.Content(node))),
                   node);
-      if (write_through_) {
-        Status s = content_index_->Insert(
-            IndexKey::Make(store_.Name(node), HashValue(store_.Content(node)),
-                           0, node),
-            node);
-        (void)s;
-      }
     }
     for (const NodeAttr& a : store_.Attrs(node)) {
       ImageInsert(&attr_image_, ValueKey(a.name, HashValue(a.value)), node);
-      if (write_through_) {
-        Status s = attr_index_->Insert(
-            IndexKey::Make(a.name, HashValue(a.value), 0, node), node);
-        (void)s;
-      }
     }
   }
   return Status::OK();
@@ -206,32 +175,15 @@ Status MctDatabase::RemoveNodeColor(NodeId node, ColorId color) {
     store_.RemoveColor(n, color);
     if (IsElement(n)) {
       ImageErase(&tag_image_, TagKey(color, store_.Name(n)), n);
-      if (write_through_) {
-        Status s =
-            tag_index_->Delete(IndexKey::Make(color, store_.Name(n), 0, n), n);
-        (void)s;
-      }
     }
     if (store_.Colors(n).empty()) {
       // Last color gone: the node leaves the database entirely.
       if (store_.HasContent(n)) {
         ImageErase(&content_image_,
                    ValueKey(store_.Name(n), HashValue(store_.Content(n))), n);
-        if (write_through_) {
-          Status s = content_index_->Delete(
-              IndexKey::Make(store_.Name(n), HashValue(store_.Content(n)), 0,
-                             n),
-              n);
-          (void)s;  // absent for non-element content carriers
-        }
       }
       for (const NodeAttr& a : store_.Attrs(n)) {
         ImageErase(&attr_image_, ValueKey(a.name, HashValue(a.value)), n);
-        if (write_through_) {
-          Status s = attr_index_->Delete(
-              IndexKey::Make(a.name, HashValue(a.value), 0, n), n);
-          (void)s;
-        }
       }
       store_.MarkDead(n);
     }
@@ -245,23 +197,11 @@ Status MctDatabase::SetContent(NodeId node, std::string_view text) {
     ImageErase(&content_image_,
                ValueKey(store_.Name(node), HashValue(store_.Content(node))),
                node);
-    if (write_through_) {
-      Status s = content_index_->Delete(
-          IndexKey::Make(store_.Name(node), HashValue(store_.Content(node)), 0,
-                         node),
-          node);
-      (void)s;
-    }
   }
-  MCT_RETURN_IF_ERROR(store_.SetContent(node, text));
+  store_.SetContent(node, text);
   if (indexed) {
     ImageInsert(&content_image_, ValueKey(store_.Name(node), HashValue(text)),
                 node);
-    if (write_through_) {
-      Status s = content_index_->Insert(
-          IndexKey::Make(store_.Name(node), HashValue(text), 0, node), node);
-      (void)s;
-    }
   }
   return Status::OK();
 }
@@ -273,20 +213,10 @@ Status MctDatabase::SetAttr(NodeId node, std::string_view name,
   NameId name_id = store_.mutable_names()->Intern(name);
   if (indexed && old != nullptr) {
     ImageErase(&attr_image_, ValueKey(name_id, HashValue(*old)), node);
-    if (write_through_) {
-      Status s = attr_index_->Delete(
-          IndexKey::Make(name_id, HashValue(*old), 0, node), node);
-      (void)s;
-    }
   }
-  MCT_RETURN_IF_ERROR(store_.SetAttr(node, name, value));
+  store_.SetAttr(node, name, value);
   if (indexed) {
     ImageInsert(&attr_image_, ValueKey(name_id, HashValue(value)), node);
-    if (write_through_) {
-      Status s = attr_index_->Insert(
-          IndexKey::Make(name_id, HashValue(value), 0, node), node);
-      (void)s;
-    }
   }
   return Status::OK();
 }
@@ -448,18 +378,110 @@ size_t MctDatabase::TagCount(ColorId color, std::string_view tag) const {
   return list == nullptr ? 0 : list->size();
 }
 
+namespace {
+
+// Table 1 page model (DESIGN.md §2): the pages a fresh load of a version
+// into the Timber decomposition occupies — fixed-size node, attribute and
+// structural record files, slotted content and attribute-value files, and
+// one B+-tree per index.
+constexpr uint64_t kPageBytes = 8192;
+constexpr uint32_t kNodeRecordBytes = 24;    // kind, name, colors, content slot
+constexpr uint32_t kAttrRecordBytes = 16;    // name, value slot
+constexpr uint32_t kStructRecordBytes = 48;  // node, 5 links, start, end, level
+// B+-tree pages: an 8-byte header, then 24-byte leaf entries (16-byte key,
+// 8-byte value) or 20-byte internal entries (16-byte key, 4-byte child).
+constexpr uint32_t kLeafEntries = (kPageBytes - 8) / 24;      // 341
+constexpr uint32_t kInternalEntries = (kPageBytes - 8) / 20;  // 409
+
+uint64_t FixedFilePages(uint64_t records, uint32_t record_bytes) {
+  const uint64_t per_page = kPageBytes / record_bytes;
+  return (records + per_page - 1) / per_page;
+}
+
+// Slotted pages: a 4-byte header, then per record its bytes plus a 4-byte
+// slot entry. Records append to the tail page; one that does not fit there
+// starts a new page, and one longer than a page runs on over as many
+// continuation pages as it needs.
+class SlottedPages {
+ public:
+  void Append(size_t bytes) {
+    const uint64_t needed = bytes + 4;
+    if (pages_ != 0 && free_ >= needed) {
+      free_ -= needed;
+      return;
+    }
+    const uint64_t span = (needed + kSlottedSpace - 1) / kSlottedSpace;
+    pages_ += span;
+    free_ = span * kSlottedSpace - needed;
+  }
+  uint64_t pages() const { return pages_; }
+
+ private:
+  static constexpr uint64_t kSlottedSpace = kPageBytes - 4;
+  uint64_t pages_ = 0;
+  uint64_t free_ = 0;
+};
+
+// A B+-tree over `entries` keys whose nodes hold `fill` of their capacity;
+// an empty tree is its root leaf.
+uint64_t BTreePages(uint64_t entries, double fill) {
+  const uint64_t leaf = static_cast<uint64_t>(kLeafEntries * fill);
+  const uint64_t fanout = static_cast<uint64_t>(kInternalEntries * fill);
+  uint64_t level = std::max<uint64_t>(1, (entries + leaf - 1) / leaf);
+  uint64_t pages = level;
+  while (level > 1) {
+    level = (level + fanout - 1) / fanout;
+    pages += level;
+  }
+  return pages;
+}
+
+// Fill factors. Within each (color, tag) key the tag index receives
+// node ids in ascending order, and a 50/50 split leaves every full leaf
+// half empty. The content and attribute indexes key on value hashes, so
+// entries arrive in random order: Yao's expected B-tree fill, ln 2.
+constexpr double kAscendingFill = 0.5;
+constexpr double kRandomFill = 0.6931471805599453;
+
+}  // namespace
+
 DatabaseStats MctDatabase::Stats() const {
   DatabaseStats s;
-  s.num_elements = store_.num_elements();
-  s.num_attrs = store_.num_attrs();
-  s.num_content_nodes = store_.num_content_nodes();
-  s.data_bytes = store_.FileBytes();
+  uint64_t live = 0, tag_entries = 0, content_entries = 0, attr_entries = 0;
+  SlottedPages content, attr_values;
+  for (NodeId n = 0; n < store_.size(); ++n) {
+    const ColorSet colors = store_.Colors(n);
+    if (colors.empty() && n != document_) continue;  // free or dropped
+    ++live;
+    if (IsElement(n)) {
+      ++s.num_elements;
+      tag_entries += colors.count();
+    }
+    const bool indexed = !colors.empty();
+    if (store_.HasContent(n)) {
+      ++s.num_content_nodes;
+      content.Append(store_.Content(n).size());
+      content_entries += indexed;
+    }
+    for (const NodeAttr& a : store_.Attrs(n)) {
+      ++s.num_attrs;
+      attr_values.Append(a.value.size());
+      attr_entries += indexed;
+    }
+  }
+  uint64_t data_pages = FixedFilePages(live, kNodeRecordBytes) +
+                        content.pages() +
+                        FixedFilePages(s.num_attrs, kAttrRecordBytes) +
+                        attr_values.pages();
   for (const auto& t : trees_) {
     s.num_struct_nodes += t->size();
-    s.data_bytes += t->FileBytes();
+    data_pages += FixedFilePages(t->size(), kStructRecordBytes);
   }
-  s.index_bytes = tag_index_->SizeBytes() + content_index_->SizeBytes() +
-                  attr_index_->SizeBytes();
+  s.data_bytes = data_pages * kPageBytes;
+  s.index_bytes = (BTreePages(tag_entries, kAscendingFill) +
+                   BTreePages(content_entries, kRandomFill) +
+                   BTreePages(attr_entries, kRandomFill)) *
+                  kPageBytes;
   return s;
 }
 

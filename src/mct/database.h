@@ -29,12 +29,14 @@
 // bucket and the one list it touches, each only while another version
 // still holds it, and then edits in place; so a commit's first index write
 // costs one bucket, and a bulk build appends to its lists without copying.
-// The query path reads only the resident state, never the
-// (single-threaded) buffer pool; the backing files and B+Trees survive
-// purely for Table-1 accounting, written by the write-through committer
-// lineage alone. Index entries exist only for nodes carrying at least one
-// color, so query-side constructor scratch (free elements built by RETURN
-// clauses on detached reader clones) never touches the shared images.
+// Index entries exist only for nodes carrying at least one color, so
+// query-side constructor scratch (free elements built by RETURN clauses on
+// reader clones) never touches the shared images.
+//
+// Table 1 sizes are not stored anywhere: Stats() derives them from a page
+// model of the version (the pages a fresh load of it into Timber-style
+// record files and B+-trees would occupy), so they depend on what the
+// version holds, never on how it was built.
 
 #ifndef COLORFUL_XML_MCT_DATABASE_H_
 #define COLORFUL_XML_MCT_DATABASE_H_
@@ -49,12 +51,10 @@
 
 #include "common/cow.h"
 #include "common/result.h"
-#include "index/bptree.h"
 #include "mct/color.h"
 #include "mct/colored_tree.h"
 #include "mct/node_store.h"
 #include "mct/shard.h"
-#include "storage/storage_env.h"
 
 namespace mct {
 
@@ -68,7 +68,10 @@ struct DatabaseStats {
   /// Structural-node records summed over every colored tree (an element
   /// with k colors contributes k).
   uint64_t num_struct_nodes = 0;
+  /// Bytes in the pages of the node, content, attribute and structural
+  /// record files.
   uint64_t data_bytes = 0;
+  /// Bytes in the pages of the tag, content and attribute B+-tree indexes.
   uint64_t index_bytes = 0;
 
   double DataMBytes() const { return static_cast<double>(data_bytes) / (1u << 20); }
@@ -77,22 +80,22 @@ struct DatabaseStats {
 
 class MctDatabase {
  public:
-  /// Creates an empty database over an in-memory storage environment.
+  /// Creates an empty database: the document node and no colors.
   MctDatabase();
-  /// Creates an empty database over a caller-provided environment.
-  explicit MctDatabase(std::unique_ptr<StorageEnv> env);
   ~MctDatabase();
 
-  MctDatabase(const MctDatabase&) = delete;
   MctDatabase& operator=(const MctDatabase&) = delete;
 
   /// COW snapshot of this database. The clone shares node/structural
   /// chunks and index posting lists with its source and privatizes only
-  /// what it subsequently writes. `write_through` = the clone continues
-  /// the committer lineage (its mutations reach the backing files);
-  /// detached clones (reader snapshots, trial statement sandboxes) leave
-  /// the files alone and may be discarded freely.
-  std::unique_ptr<MctDatabase> CowClone(bool write_through) const;
+  /// what it subsequently writes, so any number of clones may be written
+  /// and discarded without affecting the source.
+  std::unique_ptr<MctDatabase> CowClone() const;
+  /// Same as CowClone(); the argument is ignored. Kept only for callers
+  /// written against the former write-through flag.
+  std::unique_ptr<MctDatabase> CowClone(bool /*ignored*/) const {
+    return CowClone();
+  }
 
   // ---- Palette ----
 
@@ -241,7 +244,9 @@ class MctDatabase {
   NodeStore* mutable_store() { return &store_; }
   const NodeStore& store() const { return store_; }
 
-  /// Table 1 statistics.
+  /// Table 1 statistics: counts from one pass over the live nodes (the
+  /// document and every node in at least one colored tree), sizes from the
+  /// page model of DESIGN.md §2. Computed on demand.
   DatabaseStats Stats() const;
 
   /// COW units resident in this version — the leaves and chunks of the
@@ -277,7 +282,8 @@ class MctDatabase {
   };
   using IndexImage = std::shared_ptr<ImageDirectory>;
 
-  MctDatabase(const MctDatabase& o, bool write_through);
+  // The COW clone step, reachable only through CowClone().
+  MctDatabase(const MctDatabase& o);
 
   static uint64_t TagKey(ColorId color, NameId tag) {
     return (uint64_t{color} << 32) | tag;
@@ -321,21 +327,10 @@ class MctDatabase {
   /// carries at least one color).
   bool Indexed(NodeId n) const { return !store_.Colors(n).empty(); }
 
-  std::shared_ptr<StorageEnv> env_;
   NodeStore store_;
   ColorRegistry colors_;
   std::vector<std::unique_ptr<ColoredTree>> trees_;
   NodeId document_ = kInvalidNodeId;
-  // Accounting B+Trees (Table 1 index_bytes), shared across the version
-  // lineage and maintained best-effort by the write-through chain only;
-  // the query path reads the resident images instead.
-  // (color, tag, node) -> node; unique by final component per the bptree
-  // contract.
-  std::shared_ptr<BPlusTree> tag_index_;
-  // (tag, hash(content), node) -> node.
-  std::shared_ptr<BPlusTree> content_index_;
-  // (attr name, hash(value), node) -> node.
-  std::shared_ptr<BPlusTree> attr_index_;
   // Resident images keyed TagKey / ValueKey.
   IndexImage tag_image_;
   IndexImage content_image_;
@@ -347,7 +342,6 @@ class MctDatabase {
   // shard_count_ <= 1.
   std::shared_ptr<const ShardMap> shard_map_;
   int shard_count_ = 1;
-  bool write_through_ = true;
 };
 
 }  // namespace mct

@@ -60,13 +60,13 @@ Status Session::Begin() {
   reader_.reset();
   pin_.Release();
   pin_ = server_->mvcc_.PinHead();
-  // Detached clone: the evaluator mutates its database (lazy relabeling,
+  // Private clone: the evaluator mutates its database (lazy relabeling,
   // free nodes for RETURN constructors), and the pinned version is a
   // frozen snapshot shared with every other session at this epoch. The
   // clone copies one leaf pointer per 8,192 nodes of the store and of each
   // colored tree, about 1 us on scale-1 TPC-W (DESIGN.md §14), well below
   // a point read's own evaluation.
-  reader_ = pin_.db()->CowClone(/*write_through=*/false);
+  reader_ = pin_.db()->CowClone();
   return Status::OK();
 }
 
@@ -230,10 +230,9 @@ Status ColorServer::Checkpoint() {
   commit_cv_.wait(lk, [&] { return commit_queue_.empty(); });
   MCT_RETURN_IF_ERROR(wal_->Sync());
   uint64_t covered = wal_->next_lsn() - 1;
-  // Checkpoint a detached clone: serialization touches lazy state, and the
+  // Checkpoint a private clone: serialization touches lazy state, and the
   // head version is a frozen snapshot readers share.
-  std::unique_ptr<MctDatabase> clone =
-      mvcc_.Head()->CowClone(/*write_through=*/false);
+  std::unique_ptr<MctDatabase> clone = mvcc_.Head()->CowClone();
   MCT_RETURN_IF_ERROR(CheckpointDatabase(*clone, dir_, covered, env_));
   MCT_ASSIGN_OR_RETURN(wal_, WalWriter::Open(env_, WalFilePath(dir_),
                                              wal_->next_lsn(),
@@ -318,7 +317,7 @@ void ColorServer::ApplyBatch(const std::vector<CommitRequest*>& batch) {
 
   std::shared_ptr<const MctDatabase> base = mvcc_.Head();
   const uint64_t base_epoch = mvcc_.head_epoch();
-  std::unique_ptr<MctDatabase> pending = base->CowClone(/*write_through=*/true);
+  std::unique_ptr<MctDatabase> pending = base->CowClone();
   std::vector<CommitRequest*> applied;
   for (CommitRequest* r : batch) {
     // Statement atomicity: apply against a trial clone of the pending
@@ -326,7 +325,7 @@ void ColorServer::ApplyBatch(const std::vector<CommitRequest*>& batch) {
     // the trial whole instead of leaving the batch half-mutated. A request
     // cancelled or expired while it sat in the queue is shed by the
     // evaluator's entry check before any work happens.
-    std::unique_ptr<MctDatabase> trial = pending->CowClone(true);
+    std::unique_ptr<MctDatabase> trial = pending->CowClone();
     MemoryBudget stmt_budget(
         opts_.statement_memory_limit,
         opts_.total_memory_limit > 0 ? &total_budget_ : nullptr);

@@ -158,7 +158,7 @@ class Session {
 
   ColorServer* server_;
   MvccManager::Pin pin_;
-  /// Private detached clone of the pinned snapshot: the read path mutates
+  /// Private clone of the pinned snapshot: the read path mutates
   /// (lazy relabeling, RETURN constructors create free nodes), so the
   /// shared frozen version itself is never handed to an evaluator.
   std::unique_ptr<MctDatabase> reader_;

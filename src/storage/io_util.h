@@ -8,8 +8,8 @@
 //
 // Tests inject EINTR and short transfers through SetIoSyscallHooksForTest,
 // which swaps the underlying syscalls for the whole process — the very same
-// loops the production DiskManager and PosixFileEnv run are then exercised
-// against the fault pattern.
+// loops the production PosixFileEnv (FileEnv::Default()) runs are then
+// exercised against the fault pattern.
 
 #ifndef COLORFUL_XML_STORAGE_IO_UTIL_H_
 #define COLORFUL_XML_STORAGE_IO_UTIL_H_

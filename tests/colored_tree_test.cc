@@ -4,14 +4,12 @@
 #include <gtest/gtest.h>
 
 #include "mct/colored_tree.h"
-#include "storage/storage_env.h"
 
 namespace mct {
 namespace {
 
 struct Fixture {
-  std::unique_ptr<StorageEnv> env = StorageEnv::CreateInMemory();
-  ColoredTree tree{0, env.get()};
+  ColoredTree tree{0};
 };
 
 TEST(ColoredTreeTest, SetRootOnlyOnce) {
@@ -163,18 +161,6 @@ TEST(ColoredTreeTest, DeepChainLevelsAndIntervals) {
     EXPECT_TRUE(f.tree.IsAncestor(0, n));
   }
   EXPECT_FALSE(f.tree.IsAncestor(200, 0));
-}
-
-TEST(ColoredTreeTest, StructFileGrowsWithMembers) {
-  Fixture f;
-  ASSERT_TRUE(f.tree.SetRoot(0).ok());
-  uint64_t before = f.tree.FileBytes();
-  for (NodeId n = 1; n <= 1000; ++n) {
-    ASSERT_TRUE(f.tree.AppendChild(0, n).ok());
-  }
-  EXPECT_GT(f.tree.FileBytes(), before);
-  // 48-byte records, 170 per 8K page: 1001 records -> >= 6 pages.
-  EXPECT_GE(f.tree.FileBytes(), 6u * kPageSize);
 }
 
 }  // namespace

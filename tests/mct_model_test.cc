@@ -1,13 +1,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <set>
+#include <string>
 #include <unordered_map>
 
 #include "common/rng.h"
 #include "mct/color.h"
 #include "mct/database.h"
+#include "mct/snapshot.h"
 #include "movie_fixture.h"
+#include "serialize/exchange.h"
+#include "serialize/opt_serialize.h"
+#include "serialize/schema.h"
+#include "workload/sigmodr_db.h"
+#include "workload/tpcw_db.h"
 
 namespace mct {
 namespace {
@@ -424,13 +432,25 @@ TEST(DetachTest, DetachMissingNodeFails) {
 TEST(StatsTest, CountsMatchConstruction) {
   MovieDb f = BuildMovieDb();
   DatabaseStats s = f.db->Stats();
-  // Elements: count every CreateElement in the fixture.
-  // red: 4 genres + 4 names; green: 3 awards + 3 names; blue: 1 actors root
-  // + 2 actors + 2 names; movies: 3 + 3 names + 2 votes... (votes only for
-  // 2 movies); roles: 2 + 2 names.
-  EXPECT_EQ(s.num_elements, f.db->store().num_elements());
+  // Oracle: the distinct members of every colored tree.
+  std::set<NodeId> members;
+  uint64_t struct_nodes = 0;
+  for (ColorId c = 0; c < f.db->num_colors(); ++c) {
+    std::vector<NodeId> order = f.db->tree(c)->PreOrder();
+    members.insert(order.begin(), order.end());
+    struct_nodes += order.size();
+  }
+  uint64_t elements = 0, content = 0, attrs = 0;
+  for (NodeId n : members) {
+    elements += f.db->Kind(n) == xml::NodeKind::kElement;
+    content += f.db->store().HasContent(n);
+    attrs += f.db->Attrs(n).size();
+  }
+  EXPECT_EQ(s.num_elements, elements);
   EXPECT_GT(s.num_elements, 20u);
-  EXPECT_EQ(s.num_content_nodes, f.db->store().num_content_nodes());
+  EXPECT_EQ(s.num_content_nodes, content);
+  EXPECT_EQ(s.num_attrs, attrs);
+  EXPECT_EQ(s.num_struct_nodes, struct_nodes);
   // Struct nodes exceed elements because multi-colored nodes have one per
   // color (plus 3 document-root records).
   EXPECT_GT(s.num_struct_nodes, s.num_elements);
@@ -458,6 +478,162 @@ TEST(StatsTest, MultiColorCostsStructRecordsNotContent) {
   EXPECT_EQ(s1.num_elements, s2.num_elements);
   EXPECT_EQ(s1.num_content_nodes, s2.num_content_nodes);
   EXPECT_EQ(s2.num_struct_nodes, s1.num_struct_nodes + 1);
+}
+
+// ---- Table 1 figures are a function of the version ----
+
+void ExpectSameStats(const DatabaseStats& a, const DatabaseStats& b,
+                     const std::string& label) {
+  EXPECT_EQ(a.num_elements, b.num_elements) << label;
+  EXPECT_EQ(a.num_attrs, b.num_attrs) << label;
+  EXPECT_EQ(a.num_content_nodes, b.num_content_nodes) << label;
+  EXPECT_EQ(a.num_struct_nodes, b.num_struct_nodes) << label;
+  EXPECT_EQ(a.data_bytes, b.data_bytes) << label;
+  EXPECT_EQ(a.index_bytes, b.index_bytes) << label;
+}
+
+// The three schemas of both datasets, at scales small enough for a unit
+// test yet large enough to span many pages (SIGMOD at 0.05 fits in five).
+constexpr double kTpcwTestScale = 0.05;
+constexpr double kSigmodTestScale = 0.25;
+
+struct TableOneCase {
+  std::string name;
+  std::unique_ptr<MctDatabase> db;
+};
+
+std::vector<TableOneCase> BuildTableOneCases() {
+  using namespace workload;
+  const std::pair<const char*, SchemaKind> kinds[] = {
+      {"mct", SchemaKind::kMct},
+      {"shallow", SchemaKind::kShallow},
+      {"deep", SchemaKind::kDeep}};
+  std::vector<TableOneCase> out;
+  TpcwData tpcw =
+      GenerateTpcw(TpcwScale::Default().ScaledBy(kTpcwTestScale));
+  for (const auto& [name, kind] : kinds) {
+    auto built = BuildTpcw(tpcw, kind);
+    EXPECT_TRUE(built.ok()) << built.status();
+    if (built.ok()) {
+      out.push_back({std::string("tpcw/") + name, std::move(built->db)});
+    }
+  }
+  SigmodData sigmod =
+      GenerateSigmod(SigmodScale::Default().ScaledBy(kSigmodTestScale));
+  for (const auto& [name, kind] : kinds) {
+    auto built = BuildSigmod(sigmod, kind);
+    EXPECT_TRUE(built.ok()) << built.status();
+    if (built.ok()) {
+      out.push_back({std::string("sigmod/") + name, std::move(built->db)});
+    }
+  }
+  return out;
+}
+
+TEST(StatsTest, TableOneCountsAndDataBytesArePinned) {
+  // Recorded from the write-through record files the page model replaced;
+  // the model reproduces them byte for byte.
+  struct Pinned {
+    const char* name;
+    uint64_t elements, attrs, content, data_bytes;
+  };
+  const Pinned kPinned[] = {
+      {"tpcw/mct", 7938, 7512, 5498, 1441792},
+      {"tpcw/shallow", 7946, 7512, 5498, 819200},
+      {"tpcw/deep", 23148, 7131, 17016, 2048000},
+      {"sigmod/mct", 1250, 552, 1042, 204800},
+      {"sigmod/shallow", 1254, 568, 1042, 139264},
+      {"sigmod/deep", 1939, 192, 1386, 188416},
+  };
+  std::vector<TableOneCase> cases = BuildTableOneCases();
+  ASSERT_EQ(cases.size(), std::size(kPinned));
+  for (size_t i = 0; i < cases.size(); ++i) {
+    ASSERT_EQ(cases[i].name, kPinned[i].name);
+    DatabaseStats s = cases[i].db->Stats();
+    EXPECT_EQ(s.num_elements, kPinned[i].elements) << cases[i].name;
+    EXPECT_EQ(s.num_attrs, kPinned[i].attrs) << cases[i].name;
+    EXPECT_EQ(s.num_content_nodes, kPinned[i].content) << cases[i].name;
+    EXPECT_EQ(s.data_bytes, kPinned[i].data_bytes) << cases[i].name;
+    EXPECT_GT(s.index_bytes, 0u) << cases[i].name;
+  }
+}
+
+TEST(StatsTest, SnapshotRoundTripKeepsStats) {
+  const std::string path = testing::TempDir() + "/stats_roundtrip.snap";
+  for (TableOneCase& c : BuildTableOneCases()) {
+    ASSERT_TRUE(SaveSnapshot(*c.db, path).ok()) << c.name;
+    auto loaded = OpenSnapshot(path);
+    ASSERT_TRUE(loaded.ok()) << c.name << ": " << loaded.status();
+    ExpectSameStats(c.db->Stats(), (*loaded)->Stats(), c.name);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(StatsTest, XmlExchangeRoundTripKeepsStats) {
+  for (TableOneCase& c : BuildTableOneCases()) {
+    auto scheme =
+        serialize::OptSerialize(serialize::InferSchema(*c.db));
+    ASSERT_TRUE(scheme.ok()) << c.name << ": " << scheme.status();
+    auto xml = serialize::ExportXml(c.db.get(), *scheme);
+    ASSERT_TRUE(xml.ok()) << c.name << ": " << xml.status();
+    auto imported = serialize::ImportXml(*xml);
+    ASSERT_TRUE(imported.ok()) << c.name << ": " << imported.status();
+    ExpectSameStats(c.db->Stats(), (*imported)->Stats(), c.name);
+  }
+}
+
+TEST(StatsTest, DroppedWrittenCloneLeavesSourceStats) {
+  MctDatabase db;
+  ColorId red = *db.RegisterColor("red");
+  NodeId root = *db.CreateElement(red, db.document(), "root");
+  for (int i = 0; i < 50; ++i) {
+    NodeId n = *db.CreateElement(red, root, "item");
+    ASSERT_TRUE(db.SetContent(n, "value " + std::to_string(i)).ok());
+  }
+  const DatabaseStats before = db.Stats();
+  {
+    std::unique_ptr<MctDatabase> clone = db.CowClone();
+    for (int i = 0; i < 200; ++i) {
+      NodeId n = *clone->CreateElement(red, root, "added");
+      ASSERT_TRUE(clone->SetContent(n, std::string(100, 'x')).ok());
+      ASSERT_TRUE(clone->SetAttr(n, "id", std::to_string(i)).ok());
+    }
+    DatabaseStats grown = clone->Stats();
+    EXPECT_EQ(grown.num_elements, before.num_elements + 200);
+    EXPECT_GT(grown.data_bytes, before.data_bytes);
+    EXPECT_GT(grown.index_bytes, before.index_bytes);
+    ExpectSameStats(db.Stats(), before, "source while the clone lives");
+  }
+  ExpectSameStats(db.Stats(), before, "source after the clone is dropped");
+}
+
+TEST(StatsTest, DetachedNodesLeaveTheModel) {
+  // A node that loses its last color is dropped; the model counts the
+  // version as a fresh load would, without it.
+  MctDatabase db;
+  ColorId red = *db.RegisterColor("red");
+  NodeId keep = *db.CreateElement(red, db.document(), "keep");
+  ASSERT_TRUE(db.SetContent(keep, "kept").ok());
+  const DatabaseStats before = db.Stats();
+  NodeId gone = *db.CreateElement(red, db.document(), "gone");
+  ASSERT_TRUE(db.SetContent(gone, "dropped").ok());
+  ASSERT_TRUE(db.SetAttr(gone, "a", "b").ok());
+  EXPECT_EQ(db.Stats().num_elements, before.num_elements + 1);
+  ASSERT_TRUE(db.RemoveNodeColor(gone, red).ok());
+  ExpectSameStats(db.Stats(), before, "after the detach");
+}
+
+TEST(StatsTest, ContentLongerThanAPageSpansPages) {
+  MctDatabase db;
+  ColorId red = *db.RegisterColor("red");
+  NodeId big = *db.CreateElement(red, db.document(), "big");
+  ASSERT_TRUE(db.SetContent(big, std::string(20000, 'x')).ok());
+  NodeId small = *db.CreateElement(red, db.document(), "small");
+  ASSERT_TRUE(db.SetContent(small, "y").ok());
+  // Node file 1 page (3 records), content 3 pages (20,004 bytes over 8,188
+  // per page, the 5-byte record fits in the last one's tail), no attribute
+  // pages, structural file 1 page (3 members of red).
+  EXPECT_EQ(db.Stats().data_bytes, 5u * 8192);
 }
 
 // ---- Property test: random multi-colored construction ----

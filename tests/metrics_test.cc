@@ -1,7 +1,7 @@
 // Metrics registry tests: instrument correctness under concurrency (run
 // under the tsan preset too), registry semantics (create-on-first-use,
-// stable pointers, reset keeps registrations), and the BufferPool's
-// hit/miss/eviction wiring against a scripted access pattern.
+// stable pointers, reset keeps registrations), and the governor's
+// instruments.
 
 #include <gtest/gtest.h>
 
@@ -13,8 +13,6 @@
 
 #include "common/governor.h"
 #include "common/metrics.h"
-#include "storage/buffer_pool.h"
-#include "storage/disk_manager.h"
 
 namespace mct {
 namespace {
@@ -218,46 +216,6 @@ TEST(MetricsTest, GovernorPeakBytesGaugeIsHighWatermark) {
     ASSERT_TRUE(budget.TryCharge(64).ok());
   }  // smaller peak must not lower the gauge
   EXPECT_EQ(peak->value(), 4096);
-}
-
-TEST(MetricsTest, BufferPoolScriptedPatternCountsHitsMissesEvictions) {
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  Counter* hits = reg.counter("mct.buffer_pool.hits");
-  Counter* misses = reg.counter("mct.buffer_pool.misses");
-  Counter* evictions = reg.counter("mct.buffer_pool.evictions");
-  const uint64_t hits0 = hits->value();
-  const uint64_t misses0 = misses->value();
-  const uint64_t evictions0 = evictions->value();
-
-  auto dm = DiskManager::CreateInMemory();
-  BufferPool pool(dm.get(), 2);  // two frames force eviction on the third page
-  std::vector<PageId> ids;
-  for (int i = 0; i < 3; ++i) {
-    auto g = pool.NewPage();
-    ASSERT_TRUE(g.ok());
-    ids.push_back(g->page_id());
-  }
-  // NewPage pins fresh frames without going through hit/miss accounting;
-  // page 3's frame evicted one of the first two.
-  EXPECT_EQ(pool.evictions(), 1u);
-
-  // Re-fetch all three, most-recent first so the still-resident page 3 is
-  // touched before the misses below evict it.
-  for (PageId id : {ids[2], ids[0], ids[1]}) {
-    auto g = pool.FetchPage(id);
-    ASSERT_TRUE(g.ok());
-  }
-  // Deterministic totals for this script: page 3 is resident (1 hit); pages
-  // 1 and 2 must be read back (2 misses), each evicting an LRU frame.
-  EXPECT_EQ(pool.hits(), 1u);
-  EXPECT_EQ(pool.misses(), 2u);
-  EXPECT_EQ(pool.evictions(), 3u);
-
-  // The registry instruments advanced in lockstep with the pool's own
-  // counters (deltas, since other tests share the process-wide registry).
-  EXPECT_EQ(hits->value() - hits0, pool.hits());
-  EXPECT_EQ(misses->value() - misses0, pool.misses());
-  EXPECT_EQ(evictions->value() - evictions0, pool.evictions());
 }
 
 }  // namespace

@@ -451,7 +451,7 @@ TEST(MvccRetirementTest, FirstWriteCopiesOneBucketPerImageAtAnyScale) {
     };
     for (const auto& [name, write] : writes) {
       const int64_t before = CowLiveChunks();
-      auto clone = db.CowClone(/*write_through=*/false);
+      auto clone = db.CowClone();
       EXPECT_EQ(CowLiveChunks(), before) << name << ": cloning copied";
       ASSERT_TRUE(write(*clone).ok()) << name;
       growth[name].push_back(CowLiveChunks() - before);

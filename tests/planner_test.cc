@@ -274,7 +274,7 @@ void ShardedCatalogDifferential(const std::vector<CatalogQuery>& queries,
     auto key = std::make_pair(base, shards);
     auto it = clones.find(key);
     if (it == clones.end()) {
-      std::unique_ptr<MctDatabase> c = base->CowClone(/*write_through=*/false);
+      std::unique_ptr<MctDatabase> c = base->CowClone();
       c->SetShardCount(shards);
       it = clones.emplace(key, std::move(c)).first;
     }

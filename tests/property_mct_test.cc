@@ -361,7 +361,7 @@ TEST(PropertyMctTest, CloneIndexImagesMatchAScanAndLeaveTheParentFrozen) {
     Undo undo;
     for (int batch = 0; batch < 10; ++batch) {
       std::unique_ptr<MctDatabase> parent = std::move(m.db);
-      m.db = parent->CowClone(/*write_through=*/false);
+      m.db = parent->CowClone();
       const Probes before = ProbesOf(*parent);
       const Answers parent_before = ImageAnswers(*parent, before);
       if (batch == 4) {

@@ -120,7 +120,7 @@ TEST(InferSchemaDifferentialTest, MutatedCloneMatchesWalkAndParentStays) {
   MctDatabase& parent = *t->db;
   const MctSchema before = InferSchema(parent);
 
-  std::unique_ptr<MctDatabase> clone = parent.CowClone(false);
+  std::unique_ptr<MctDatabase> clone = parent.CowClone();
   // Inserts: a new type under every tenth customer, then a second color
   // for one of those nodes (a next-color constructor).
   std::vector<NodeId> customers = clone->TagScan(t->cust, "customer");

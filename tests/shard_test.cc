@@ -167,7 +167,7 @@ TEST(ShardLifecycleTest, CowClonesShareTheMapAndInvalidateLocally) {
   const ShardMap* sm = m.db->EnsureShardMap();
   ASSERT_NE(sm, nullptr);
 
-  std::unique_ptr<MctDatabase> clone = m.db->CowClone(/*write_through=*/false);
+  std::unique_ptr<MctDatabase> clone = m.db->CowClone();
   // The clone shares the immutable map — no rebuild on the reader path.
   EXPECT_EQ(clone->shard_map(), sm);
   EXPECT_EQ(clone->shard_count(), 4);

@@ -46,7 +46,7 @@ TEST(SnapshotTest, EmptyDatabase) {
   auto loaded = OpenSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ((*loaded)->num_colors(), 1u);
-  EXPECT_EQ((*loaded)->store().num_elements(), 0u);
+  EXPECT_EQ((*loaded)->Stats().num_elements, 0u);
   std::filesystem::remove(path);
 }
 

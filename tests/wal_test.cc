@@ -1,6 +1,6 @@
 // WAL record format, group fsync, torn-tail repair, the FaultInjectionEnv
 // crash model, and the EINTR/short-transfer retry loops under the real
-// DiskManager.
+// POSIX FileEnv.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 
 #include "common/crc32c.h"
 #include "common/metrics.h"
-#include "storage/disk_manager.h"
 #include "storage/fault_env.h"
 #include "storage/file_env.h"
 #include "storage/io_util.h"
@@ -51,24 +50,24 @@ TEST(Crc32cTest, SingleBitFlipsChangeTheSum) {
   }
 }
 
-// ---- io_util retry loops through the real DiskManager ----
+// ---- io_util retry loops through the real POSIX FileEnv ----
 
 struct HookGuard {
   ~HookGuard() { ClearIoSyscallHooksForTest(); }
 };
 
-TEST(IoRetryTest, DiskManagerRetriesEintrAndShortTransfers) {
-  std::string path = testing::TempDir() + "/io_retry.db";
+TEST(IoRetryTest, FileEnvRetriesEintrAndShortTransfers) {
+  FileEnv* env = FileEnv::Default();
+  std::string path = testing::TempDir() + "/io_retry.bin";
   std::filesystem::remove(path);
-  std::unique_ptr<DiskManager> dm;
-  ASSERT_TRUE(DiskManager::OpenFile(path, &dm).ok());
-  PageId p = dm->AllocatePage();
+  auto file = env->NewWritableFile(path, /*truncate_existing=*/true);
+  ASSERT_TRUE(file.ok()) << file.status();
 
   int eintrs = 0, shorts = 0;
   HookGuard guard;
   IoSyscallHooks hooks;
-  // Every call: first two attempts get EINTR, then transfers are capped at
-  // 1000 bytes, so an 8K page needs many resumed calls.
+  // The append's first two attempts get EINTR, then every transfer is
+  // capped at 1000 bytes, so 8K each way needs many resumed calls.
   int eintr_budget = 2;
   hooks.pwrite = [&](int fd, const void* buf, size_t n, off_t off) -> ssize_t {
     if (eintr_budget > 0) {
@@ -92,26 +91,28 @@ TEST(IoRetryTest, DiskManagerRetriesEintrAndShortTransfers) {
   };
   SetIoSyscallHooksForTest(std::move(hooks));
 
-  char page[kPageSize];
-  for (uint32_t i = 0; i < kPageSize; ++i) page[i] = static_cast<char>(i * 7);
-  ASSERT_TRUE(dm->WritePage(p, page).ok());
-  char out[kPageSize];
-  ASSERT_TRUE(dm->ReadPage(p, out).ok());
-  EXPECT_EQ(std::memcmp(page, out, kPageSize), 0);
+  std::string data(8192, '\0');
+  for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<char>(i * 7);
+  ASSERT_TRUE((*file)->Append(data).ok());
+  ASSERT_TRUE((*file)->Close().ok());
+  const int write_shorts = shorts;
+  auto back = env->ReadFileToString(path);
+  ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_EQ(*back, data);
   EXPECT_EQ(eintrs, 2);
-  EXPECT_GT(shorts, 10);  // both directions really went through the loop
+  EXPECT_GT(write_shorts, 5);           // the append resumed after short writes
+  EXPECT_GT(shorts - write_shorts, 5);  // and the read back after short reads
 
   ClearIoSyscallHooksForTest();
-  dm.reset();
   std::filesystem::remove(path);
 }
 
 TEST(IoRetryTest, RealErrorsSurfaceErrnoText) {
-  std::string path = testing::TempDir() + "/io_err.db";
+  FileEnv* env = FileEnv::Default();
+  std::string path = testing::TempDir() + "/io_err.bin";
   std::filesystem::remove(path);
-  std::unique_ptr<DiskManager> dm;
-  ASSERT_TRUE(DiskManager::OpenFile(path, &dm).ok());
-  PageId p = dm->AllocatePage();
+  auto file = env->NewWritableFile(path, /*truncate_existing=*/true);
+  ASSERT_TRUE(file.ok()) << file.status();
 
   HookGuard guard;
   IoSyscallHooks hooks;
@@ -120,22 +121,24 @@ TEST(IoRetryTest, RealErrorsSurfaceErrnoText) {
     return -1;
   };
   SetIoSyscallHooksForTest(std::move(hooks));
-  char page[kPageSize] = {};
-  Status s = dm->WritePage(p, page);
+  Status s = (*file)->Append(std::string(64, 'x'));
   ASSERT_TRUE(s.IsIOError());
   EXPECT_NE(s.message().find(std::strerror(ENOSPC)), std::string::npos) << s;
 
   ClearIoSyscallHooksForTest();
-  dm.reset();
+  file->reset();
   std::filesystem::remove(path);
 }
 
 TEST(IoRetryTest, OpenErrorsIncludeErrnoText) {
-  std::unique_ptr<DiskManager> dm;
-  // A directory cannot be opened O_RDWR as a storage file.
-  Status s = DiskManager::OpenFile(testing::TempDir(), &dm);
-  ASSERT_TRUE(s.IsIOError());
-  EXPECT_NE(s.message().find(std::strerror(EISDIR)), std::string::npos) << s;
+  // A directory cannot be opened for writing.
+  auto file = FileEnv::Default()->NewWritableFile(testing::TempDir(),
+                                                  /*truncate_existing=*/false);
+  ASSERT_FALSE(file.ok());
+  ASSERT_TRUE(file.status().IsIOError());
+  EXPECT_NE(file.status().message().find(std::strerror(EISDIR)),
+            std::string::npos)
+      << file.status();
 }
 
 // ---- FaultInjectionEnv crash model ----
