@@ -11,7 +11,6 @@
 #include "bench_masked_check.h"
 #include "bench_planner_compare.h"
 #include "bench_util.h"
-#include "bench_vectorized_compare.h"
 #include "common/strings.h"
 #include "query/trace.h"
 #include "workload/catalog.h"
@@ -85,15 +84,6 @@ int main(int argc, char** argv) {
                                       mct_db->default_color(),
                                       SigmodCatalog(data),
                                       "BENCH_planner_sigmod.json");
-  }
-
-  if (mct::bench::HasFlag(argc, argv, "--batch")) {
-    // Vectorized A/B mode, as in bench_table2_tpcw.
-    std::printf("=== Vectorized A/B (SIGMOD-Record, MCT schema) ===\n\n");
-    return mct::bench::VectorizedCompare(mct_db->db.get(),
-                                         mct_db->default_color(),
-                                         SigmodCatalog(data),
-                                         "BENCH_vectorized_sigmod.json");
   }
 
   if (mct::bench::HasFlag(argc, argv, "--check-masked")) {

@@ -19,7 +19,6 @@
 #include "bench_masked_check.h"
 #include "bench_planner_compare.h"
 #include "bench_util.h"
-#include "bench_vectorized_compare.h"
 #include "common/strings.h"
 #include "query/trace.h"
 #include "workload/catalog.h"
@@ -94,16 +93,6 @@ int main(int argc, char** argv) {
     return mct::bench::PlannerCompare(mct_db->db.get(),
                                       mct_db->default_color(),
                                       TpcwCatalog(data), "BENCH_planner.json");
-  }
-
-  if (mct::bench::HasFlag(argc, argv, "--batch")) {
-    // Vectorized A/B mode: row-at-a-time vs batch execution on every MCT
-    // read statement (planner on both sides), with the CI regression gate.
-    std::printf("=== Vectorized A/B (TPC-W, MCT schema) ===\n\n");
-    return mct::bench::VectorizedCompare(mct_db->db.get(),
-                                         mct_db->default_color(),
-                                         TpcwCatalog(data),
-                                         "BENCH_vectorized.json");
   }
 
   if (mct::bench::HasFlag(argc, argv, "--check-masked")) {

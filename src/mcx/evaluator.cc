@@ -413,13 +413,10 @@ Result<QueryResult> Evaluator::RunPlanned(const ParsedQuery& q,
     MCT_RETURN_IF_ERROR(exec_.governor->Check());
   }
   MCT_RETURN_IF_ERROR(MaybeAnalyze(q));
-  if (plan != nullptr) {
-    Note("EXPLAIN PLAN\n" + plan->Describe());
-    if (exec_.trace != nullptr) {
-      exec_.trace->Leaf("PLAN",
-                        StrFormat("cost %.1f baseline -> %.1f chosen",
-                                  plan->cost_baseline, plan->cost_chosen));
-    }
+  if (plan != nullptr && exec_.trace != nullptr) {
+    exec_.trace->Leaf("PLAN", StrFormat("cost %.1f baseline -> %.1f chosen",
+                                        plan->cost_baseline,
+                                        plan->cost_chosen));
   }
   // Always (re)assign: a stale pointer from a prior statement must never
   // leak into this one. The first EvalFLWORBindings call consumes it.
@@ -765,16 +762,9 @@ Result<std::vector<Item>> Evaluator::EvalFLWOR(const Expr& flwor,
     std::vector<uint32_t> order;
     order.reserve(n_rows);
     for (const auto& [_, i] : keyed) order.push_back(i);
-    if (exec_.batch) {
-      // The permutation becomes the selection vector: an O(rows) reorder
-      // with zero cell copies.
-      b.table.KeepRows(std::move(order));
-    } else {
-      Table sorted = query::Table::WithVars(b.table.vars);
-      sorted.Reserve(n_rows);
-      for (uint32_t i : order) sorted.AppendRow(b.table.RowAt(i));
-      b.table = std::move(sorted);
-    }
+    // The permutation becomes the selection vector: an O(rows) reorder
+    // with zero cell copies.
+    b.table.KeepRows(std::move(order));
     if (exec_.trace != nullptr) {
       query::OpTrace* n = exec_.trace->Leaf("ORDER BY");
       n->rows_in = n->rows_out = n_rows;
@@ -995,9 +985,6 @@ Result<Evaluator::Bindings> Evaluator::EvalFLWORBindings(
         // must agree, i.e. a node-identity join between the two colored
         // trees.
         tb.table.vars[0] = binding.var + "#rebind";
-        Note(StrFormat("IDENTITY JOIN on rebound %s  (%zu x %zu rows)",
-                       binding.var.c_str(), acc.table.num_rows(),
-                       tb.table.num_rows()));
         Table joined = query::IdentityJoin(db_, acc.table, existing, tb.table,
                                            0, exec_);
         std::vector<int> cols;
@@ -1050,14 +1037,7 @@ Result<Evaluator::Bindings> Evaluator::EvalFLWORBindings(
         n->rows_in = rows_in;
         n->rows_out = keep.size();
       }
-      if (exec_.batch) {
-        acc.table.KeepRows(std::move(keep));
-      } else {
-        Table dedup = Table::WithVars(acc.table.vars);
-        dedup.Reserve(keep.size());
-        for (uint32_t i : keep) dedup.AppendRow(acc.table.RowAt(i));
-        acc.table = std::move(dedup);
-      }
+      acc.table.KeepRows(std::move(keep));
       acc.cols[static_cast<size_t>(col)].atomic = true;
     }
   }
@@ -1128,9 +1108,6 @@ Result<Evaluator::Bindings> Evaluator::EvalSteps(
         // (Illegal before self/attribute/descendant-or-self: those pass
         // context nodes through without a color membership test.)
         in.cols[static_cast<size_t>(cur)].color = c;
-        Note(StrFormat("CROSS-TREE ELIDED %s -> {%s}  (%zu rows)",
-                       in.table.vars[static_cast<size_t>(cur)].c_str(),
-                       db_->ColorName(c).c_str(), in.table.num_rows()));
         if (exec_.trace != nullptr) {
           query::OpTrace* n = exec_.trace->Leaf("CROSS-TREE ELIDED");
           n->rows_in = in.table.num_rows();
@@ -1139,9 +1116,6 @@ Result<Evaluator::Bindings> Evaluator::EvalSteps(
       } else {
         in.table = query::CrossTreeJoin(db_, in.table, cur, c, ctx);
         in.cols[static_cast<size_t>(cur)].color = c;
-        Note(StrFormat("CROSS-TREE JOIN %s -> {%s}  (%zu rows)",
-                       in.table.vars[static_cast<size_t>(cur)].c_str(),
-                       db_->ColorName(c).c_str(), in.table.num_rows()));
       }
     }
     cur_color = c;
@@ -1211,18 +1185,9 @@ Result<Evaluator::Bindings> Evaluator::EvalSteps(
             self_idx.push_back(static_cast<uint32_t>(i));
           }
         }
-        if (ctx.batch) {
-          query::Table::GatherInto(in.table, self_idx, &next, 0);
-          auto& node_col = next.cols.back();
-          for (uint32_t i : self_idx) node_col.push_back(in.table.At(i, cur));
-        } else {
-          next.Reserve(next.num_rows() + self_idx.size());
-          for (uint32_t i : self_idx) {
-            std::vector<NodeId> copy = in.table.RowAt(i);
-            copy.push_back(in.table.At(i, cur));
-            next.AppendRow(copy);
-          }
-        }
+        query::Table::GatherInto(in.table, self_idx, &next, 0);
+        auto& node_col = next.cols.back();
+        for (uint32_t i : self_idx) node_col.push_back(in.table.At(i, cur));
         // The descendant expansion above already closed its trace record;
         // account for the self rows merged in afterwards so the per-group
         // row chain stays consistent.
@@ -1279,20 +1244,6 @@ Result<Evaluator::Bindings> Evaluator::EvalSteps(
                           ? ColumnInfo{c, true, step.tag}
                           : ColumnInfo{c, false, ""});
     cur = static_cast<int>(in.table.num_cols()) - 1;
-    if (opts_.plan != nullptr) {
-      const char* axis_name =
-          step.axis == Axis::kChild ? "child"
-          : step.axis == Axis::kDescendant ? "descendant"
-          : step.axis == Axis::kDescendantOrSelf ? "descendant-or-self"
-          : step.axis == Axis::kParent ? "parent"
-          : step.axis == Axis::kAncestor ? "ancestor"
-          : step.axis == Axis::kSelf ? "self"
-                                      : "attribute";
-      Note(StrFormat("STRUCTURAL STEP {%s}%s::%s -> %s  (%zu rows)",
-                     db_->ColorName(c).c_str(), axis_name,
-                     step.tag.empty() ? "node()" : step.tag.c_str(),
-                     col_name.c_str(), in.table.num_rows()));
-    }
     if (exec_.trace != nullptr && sp != nullptr && sp->est_expand >= 0) {
       exec_.trace->last()->est_rows =
           consumed_pred >= 0 ? sp->est_out : sp->est_expand;
@@ -1352,8 +1303,6 @@ Result<Evaluator::Bindings> Evaluator::EvalSteps(
           }
           if (++counts[key] == want) keep.push_back(static_cast<uint32_t>(r));
         }
-        Note(StrFormat("POSITION [%lld]  (%zu -> %zu rows)",
-                       static_cast<long long>(want), rows_in, keep.size()));
         if (exec_.trace != nullptr) {
           query::OpTrace* n = exec_.trace->Leaf(
               "POSITION", StrFormat("[%lld]", static_cast<long long>(want)));
@@ -1361,14 +1310,7 @@ Result<Evaluator::Bindings> Evaluator::EvalSteps(
           n->rows_out = keep.size();
           n->seconds = SecondsSince(pred_t0);
         }
-        if (exec_.batch) {
-          in.table.KeepRows(std::move(keep));
-        } else {
-          Table filtered = Table::WithVars(in.table.vars);
-          filtered.Reserve(keep.size());
-          for (uint32_t r : keep) filtered.AppendRow(in.table.RowAt(r));
-          in.table = std::move(filtered);
-        }
+        in.table.KeepRows(std::move(keep));
         continue;
       }
       // Index-backed fast path for string-literal equality predicates —
@@ -1417,8 +1359,6 @@ Result<Evaluator::Bindings> Evaluator::EvalSteps(
             keep.push_back(static_cast<uint32_t>(i));
           }
         }
-        Note(StrFormat("INDEX PROBE predicate  (%zu -> %zu rows)",
-                       pred_rows_in, keep.size()));
         if (exec_.trace != nullptr) {
           query::OpTrace* n = exec_.trace->Leaf("INDEX PROBE", "predicate");
           n->rows_in = pred_rows_in;
@@ -1437,11 +1377,11 @@ Result<Evaluator::Bindings> Evaluator::EvalSteps(
         // through the generic Item machinery on every row; this hoists all
         // of that out of the loop. Only exact interpreter equivalents
         // qualify (single relative step, no step predicates, atomic literal
-        // rhs — the node-identity branch of EvalBool cannot trigger), and
-        // the legacy arm keeps the interpreter, so the --batch A/B measures
-        // the batch discipline.
+        // rhs — the node-identity branch of EvalBool cannot trigger). The
+        // mirrored form [literal <cmp> path] stays on the interpreter, which
+        // makes it this path's differential oracle.
         bool fast = false;
-        if (exec_.batch && pred->kind == Expr::Kind::kCompare &&
+        if (pred->kind == Expr::Kind::kCompare &&
             (pred->children[1]->kind == Expr::Kind::kString ||
              pred->children[1]->kind == Expr::Kind::kNumber) &&
             pred->children[0]->kind == Expr::Kind::kPath) {
@@ -1537,8 +1477,6 @@ Result<Evaluator::Bindings> Evaluator::EvalSteps(
         for (size_t i = 0; i < pred_rows_in; ++i) {
           if (mask[i]) keep.push_back(static_cast<uint32_t>(i));
         }
-        Note(StrFormat("FILTER predicate  (%zu -> %zu rows)", pred_rows_in,
-                       keep.size()));
         if (exec_.trace != nullptr) {
           query::OpTrace* tn = exec_.trace->Leaf("FILTER", "predicate");
           tn->rows_in = pred_rows_in;
@@ -1546,14 +1484,7 @@ Result<Evaluator::Bindings> Evaluator::EvalSteps(
           tn->seconds = SecondsSince(pred_t0);
         }
       }
-      if (exec_.batch) {
-        in.table.KeepRows(std::move(keep));
-      } else {
-        Table filtered = Table::WithVars(in.table.vars);
-        filtered.Reserve(keep.size());
-        for (uint32_t i : keep) filtered.AppendRow(in.table.RowAt(i));
-        in.table = std::move(filtered);
-      }
+      in.table.KeepRows(std::move(keep));
     }
     if (exec_.trace != nullptr && sp != nullptr && sp->est_out >= 0 &&
         !step.predicates.empty()) {
@@ -1662,9 +1593,6 @@ Result<std::optional<Evaluator::Bindings>> Evaluator::EvalSpine(
   const std::vector<NodeId>& leaf = matched.cols.back();
   out.table.cols[1].reserve(n_matches);
   for (uint32_t i : order) out.table.cols[1].push_back(leaf[i]);
-  Note(StrFormat("PATH-STACK SPINE {%s} %zu steps -> %s  (%zu rows)",
-                 db_->ColorName(spine_color).c_str(), steps.size(),
-                 out_var.c_str(), out.table.num_rows()));
   if (exec_.trace != nullptr) {
     query::OpTrace* n = exec_.trace->Leaf("SPINE ORDER RESTORE");
     n->rows_in = matched.num_rows();
@@ -1750,8 +1678,7 @@ Result<Evaluator::Bindings> Evaluator::JoinIn(Bindings left, Bindings right,
   };
 
   // Matching (left row, right row) index pairs in emission order; the
-  // output is materialized once at the end — per-column gathers under
-  // vectorized execution, per-row copies in legacy mode.
+  // output is materialized once at the end with per-column gathers.
   std::vector<uint32_t> li, ri;
   auto emit = [&](size_t l, size_t r) {
     li.push_back(static_cast<uint32_t>(l));
@@ -1766,21 +1693,9 @@ Result<Evaluator::Bindings> Evaluator::JoinIn(Bindings left, Bindings right,
           ((left.table.num_cols() + right.table.num_cols()) * sizeof(NodeId) +
            2 * sizeof(uint32_t))));
     }
-    if (exec_.batch) {
-      query::Table::GatherInto(left.table, li, &out.table, 0);
-      query::Table::GatherInto(right.table, ri, &out.table,
-                               left.table.num_cols());
-    } else {
-      const size_t rc = right.table.num_cols();
-      out.table.Reserve(li.size());
-      for (size_t k = 0; k < li.size(); ++k) {
-        std::vector<NodeId> row = left.table.RowAt(li[k]);
-        for (size_t j = 0; j < rc; ++j) {
-          row.push_back(right.table.At(ri[k], static_cast<int>(j)));
-        }
-        out.table.AppendRow(row);
-      }
-    }
+    query::Table::GatherInto(left.table, li, &out.table, 0);
+    query::Table::GatherInto(right.table, ri, &out.table,
+                             left.table.num_cols());
     return Status::OK();
   };
 
@@ -1807,9 +1722,6 @@ Result<Evaluator::Bindings> Evaluator::JoinIn(Bindings left, Bindings right,
       for (size_t j = 0; j < cart_rn; ++j) emit(i, j);
     }
     MCT_RETURN_IF_ERROR(materialize());
-    Note(StrFormat("CARTESIAN PRODUCT  (%zu x %zu -> %zu rows)",
-                   left.table.num_rows(), right.table.num_rows(),
-                   out.table.num_rows()));
     trace_join("CARTESIAN PRODUCT");
     return out;
   }
@@ -1857,9 +1769,6 @@ Result<Evaluator::Bindings> Evaluator::JoinIn(Bindings left, Bindings right,
       }
     }
     MCT_RETURN_IF_ERROR(materialize());
-    Note(StrFormat("IDREFS VALUE JOIN  (%zu x %zu -> %zu rows)",
-                   left.table.num_rows(), right.table.num_rows(),
-                   out.table.num_rows()));
     trace_join("IDREFS VALUE JOIN");
     return out;
   }
@@ -1913,9 +1822,6 @@ Result<Evaluator::Bindings> Evaluator::JoinIn(Bindings left, Bindings right,
       }
     }
     MCT_RETURN_IF_ERROR(materialize());
-    Note(StrFormat("HASH VALUE JOIN  (%zu x %zu -> %zu rows)",
-                   left.table.num_rows(), right.table.num_rows(),
-                   out.table.num_rows()));
     trace_join("HASH VALUE JOIN");
     return out;
   }
@@ -1965,9 +1871,6 @@ Result<Evaluator::Bindings> Evaluator::JoinIn(Bindings left, Bindings right,
     for (uint32_t j : matches[i]) emit(i, j);
   }
   MCT_RETURN_IF_ERROR(materialize());
-  Note(StrFormat("NESTED-LOOP INEQUALITY JOIN  (%zu x %zu -> %zu rows)",
-                 left.table.num_rows(), right.table.num_rows(),
-                 out.table.num_rows()));
   trace_join("NESTED-LOOP INEQUALITY JOIN");
   return out;
 }
@@ -1998,14 +1901,7 @@ Status Evaluator::ApplyResidual(Bindings* b, const Expr& conjunct,
     tn->rows_out = keep.size();
     tn->seconds = SecondsSince(t0);
   }
-  if (exec_.batch) {
-    b->table.KeepRows(std::move(keep));
-  } else {
-    Table filtered = Table::WithVars(b->table.vars);
-    filtered.Reserve(keep.size());
-    for (uint32_t i : keep) filtered.AppendRow(b->table.RowAt(i));
-    b->table = std::move(filtered);
-  }
+  b->table.KeepRows(std::move(keep));
   return Status::OK();
 }
 
@@ -2047,7 +1943,7 @@ Result<std::vector<Item>> Evaluator::EvalRelPath(NodeId ctx,
       return ResolveColor(step.color);
     }());
     // Same hard guarantee as EvalSteps: navigation into a read-invisible
-    // color yields nothing (this is the row-at-a-time path predicates and
+    // color yields nothing (this is the per-node path predicates and
     // update selectors run through).
     if (exec_.mask != nullptr && !exec_.mask->CanRead(color)) {
       cur.clear();

@@ -95,9 +95,6 @@ struct EvalOptions {
   /// is stored here, including when strict mode rejects the statement.
   AnalysisReport* check = nullptr;
   query::ExecStats* stats = nullptr;
-  /// When set, the evaluator appends one line per physical operator it
-  /// executes (EXPLAIN ANALYZE-style plan trace).
-  std::vector<std::string>* plan = nullptr;
   /// When set, the evaluator records a structured per-operator trace tree
   /// (rows, morsels, wall time, color transitions) into this sink; render
   /// it with QueryTrace::ToText()/ToJson(). Null disables recording at one
@@ -109,11 +106,6 @@ struct EvalOptions {
   /// Rows per morsel for parallel operators; inputs at or below this size
   /// run serially regardless of num_threads.
   size_t morsel_size = 1024;
-  /// Vectorized (batch) operator execution (ExecContext::batch). false
-  /// routes the physical operators through their retained row-at-a-time
-  /// paths — the pre-columnar cost profile — for A/B measurement; results
-  /// are identical either way.
-  bool vectorized = true;
   /// When set, every successfully applied update statement is appended to
   /// this write-ahead log as a logical redo record (canonical statement
   /// text, replayable by RecoverDatabase) before Run returns.
@@ -186,7 +178,6 @@ class Evaluator {
                   ? std::make_unique<ThreadPool>(opts.num_threads)
                   : nullptr),
         exec_(opts.stats, pool_.get(), opts.morsel_size, opts.trace) {
-    exec_.batch = opts.vectorized;
     if (opts_.cancel_token != nullptr || opts_.deadline.has_value() ||
         opts_.memory_budget != nullptr) {
       governor_ = std::make_unique<ResourceGovernor>(
@@ -329,11 +320,6 @@ class Evaluator {
   void ForgetSchema() {
     inferred_schema_.reset();
     flow_graph_.reset();
-  }
-
-  /// Appends a plan-trace line when opts_.plan is set.
-  void Note(std::string line) {
-    if (opts_.plan != nullptr) opts_.plan->push_back(std::move(line));
   }
 
   void ToXmlRec(NodeId n, ColorId color, std::string* out);

@@ -18,8 +18,6 @@ namespace mct::query {
 
 namespace {
 
-using Row = std::vector<NodeId>;
-
 Counter* BatchCounter() {
   static Counter* c = MetricsRegistry::Global().counter("mct.exec.batches");
   return c;
@@ -73,22 +71,6 @@ Table WithExtraColumn(const Table& in, const std::string& out_var) {
   return out;
 }
 
-// Legacy row-at-a-time emit: materializes the base row (one heap
-// allocation plus a cell copy per column — the pre-columnar cost profile)
-// and appends the expansion binding.
-void EmitRowAt(std::vector<Row>* out, const Table& in, size_t i,
-               NodeId extra) {
-  Row row = in.RowAt(i);
-  row.push_back(extra);
-  out->push_back(std::move(row));
-}
-
-// Scatters legacy row buffers into the columnar output table.
-void AppendRows(Table* out, std::vector<Row>&& rows) {
-  out->Reserve(out->num_rows() + rows.size());
-  for (const auto& r : rows) out->AppendRow(r);
-}
-
 // Resolves a tag to its interned id once per operator call; kInvalidNameId
 // with an empty tag means "match any element".
 NameId TagFilterId(const MctDatabase& db, const std::string& tag) {
@@ -100,10 +82,10 @@ bool TagIdMatches(const MctDatabase& db, NodeId n, const std::string& tag,
   return tag.empty() || db.TagId(n) == tag_id;
 }
 
-// Per-morsel emit buffers of the vectorized operators. Each is a pair (or
-// single) of parallel index/value columns; morsel workers fill a private
-// chunk and the chunks concatenate in morsel index order, which preserves
-// the serial emission order exactly.
+// Per-morsel emit buffers of the operators. Each is a pair (or single) of
+// parallel index/value columns; morsel workers fill a private chunk and the
+// chunks concatenate in morsel index order, which preserves the serial
+// emission order exactly.
 
 // (input row index, emitted node) pairs of the expansion operators.
 struct EmitChunk {
@@ -141,16 +123,6 @@ struct IdxChunk {
   void Reserve(size_t n) { idx.reserve(n); }
   void Append(IdxChunk&& o) {
     idx.insert(idx.end(), o.idx.begin(), o.idx.end());
-  }
-};
-
-// Legacy mode: fully materialized rows.
-struct RowChunk {
-  std::vector<Row> rows;
-  size_t size() const { return rows.size(); }
-  void Reserve(size_t n) { rows.reserve(n); }
-  void Append(RowChunk&& o) {
-    for (auto& r : o.rows) rows.push_back(std::move(r));
   }
 };
 
@@ -390,43 +362,23 @@ Table ExpandChildren(MctDatabase* db, const Table& in, int col, ColorId color,
     return out;  // unknown tag
   }
   const MctDatabase& cdb = *db;
-  size_t morsels;
-  if (ctx.batch) {
-    EmitChunk hits;
-    morsels = MorselCollect(
-        ctx, in.num_rows(), &hits,
-        [&](size_t begin, size_t end, EmitChunk* chunk, ExecStats*) {
-          for (size_t i = begin; i < end; ++i) {
-            NodeId n = in.At(i, col);
-            if (!cdb.Colors(n).Has(color)) continue;
-            t->ForEachChild(n, [&](NodeId c) {
-              if (cdb.Kind(c) == xml::NodeKind::kElement &&
-                  TagIdMatches(cdb, c, tag, tag_id)) {
-                chunk->idx.push_back(static_cast<uint32_t>(i));
-                chunk->node.push_back(c);
-              }
-            });
-          }
-        });
-    CountBatches(tr, morsels + GatherExpand(ctx, in, std::move(hits), &out));
-  } else {
-    RowChunk rows;
-    morsels = MorselCollect(
-        ctx, in.num_rows(), &rows,
-        [&](size_t begin, size_t end, RowChunk* chunk, ExecStats*) {
-          for (size_t i = begin; i < end; ++i) {
-            NodeId n = in.At(i, col);
-            if (!cdb.Colors(n).Has(color)) continue;
-            t->ForEachChild(n, [&](NodeId c) {
-              if (cdb.Kind(c) == xml::NodeKind::kElement &&
-                  TagIdMatches(cdb, c, tag, tag_id)) {
-                EmitRowAt(&chunk->rows, in, i, c);
-              }
-            });
-          }
-        });
-    AppendRows(&out, std::move(rows.rows));
-  }
+  EmitChunk hits;
+  const size_t morsels = MorselCollect(
+      ctx, in.num_rows(), &hits,
+      [&](size_t begin, size_t end, EmitChunk* chunk, ExecStats*) {
+        for (size_t i = begin; i < end; ++i) {
+          NodeId n = in.At(i, col);
+          if (!cdb.Colors(n).Has(color)) continue;
+          t->ForEachChild(n, [&](NodeId c) {
+            if (cdb.Kind(c) == xml::NodeKind::kElement &&
+                TagIdMatches(cdb, c, tag, tag_id)) {
+              chunk->idx.push_back(static_cast<uint32_t>(i));
+              chunk->node.push_back(c);
+            }
+          });
+        }
+      });
+  CountBatches(tr, morsels + GatherExpand(ctx, in, std::move(hits), &out));
   if (tr.enabled()) tr.Finish(out.num_rows(), morsels);
   return out;
 }
@@ -508,18 +460,16 @@ std::vector<NodeId> ShardPrune(const ShardMap& sm, ColorId color,
 // candidates currently open around the scan point. The stack state at a
 // given descendant depends only on its start label, so each morsel of the
 // descendant stream can rebuild it independently (one O(|ancs|) replay
-// per morsel) and emit exactly the serial subsequence. `emit(chunk, ri,
-// d)` fires once per (input row, matched descendant) — into an EmitChunk
-// under batch execution, a materialized RowChunk in legacy mode.
-template <typename Chunk, typename EmitFn>
+// per morsel) and emit exactly the serial subsequence. Collects one
+// (input row, matched descendant) pair per match.
 size_t IntervalMerge(
     const ExecContext& ctx, const std::vector<NodeId>& descs,
     const std::vector<Anc>& ancs,
     const std::unordered_map<NodeId, std::vector<uint32_t>>& groups,
-    const ColoredTree& ct, Chunk* out, const EmitFn& emit) {
+    const ColoredTree& ct, EmitChunk* out) {
   return MorselCollect(
       ctx, descs.size(), out,
-      [&](size_t begin, size_t end, Chunk* chunk, ExecStats*) {
+      [&](size_t begin, size_t end, EmitChunk* chunk, ExecStats*) {
         std::vector<const Anc*> stack;
         size_t ai = 0;
         for (size_t di = begin; di < end; ++di) {
@@ -538,37 +488,26 @@ size_t IntervalMerge(
           // nested). Guard de anyway for robustness against equal labels.
           for (const Anc* a : stack) {
             if (a->end > de) {
-              for (uint32_t ri : groups.at(a->node)) emit(chunk, ri, d);
+              for (uint32_t ri : groups.at(a->node)) {
+                chunk->idx.push_back(ri);
+                chunk->node.push_back(d);
+              }
             }
           }
         }
       });
 }
 
-// Shared emission tail of the descendant-merge operators: batch collects
-// (row, descendant) pairs then gathers; legacy materializes rows.
+// Shared emission tail of the descendant-merge operators: collects
+// (row, descendant) pairs, then gathers.
 size_t MergeEmit(const ExecContext& ctx, const Table& in,
                  const std::vector<NodeId>& descs,
                  const std::vector<Anc>& ancs,
                  const std::unordered_map<NodeId, std::vector<uint32_t>>& groups,
                  const ColoredTree& ct, Table* out, OpScope& tr) {
-  size_t morsels;
-  if (ctx.batch) {
-    EmitChunk hits;
-    morsels = IntervalMerge(ctx, descs, ancs, groups, ct, &hits,
-                            [](EmitChunk* chunk, uint32_t ri, NodeId d) {
-                              chunk->idx.push_back(ri);
-                              chunk->node.push_back(d);
-                            });
-    CountBatches(tr, morsels + GatherExpand(ctx, in, std::move(hits), out));
-  } else {
-    RowChunk rows;
-    morsels = IntervalMerge(ctx, descs, ancs, groups, ct, &rows,
-                            [&in](RowChunk* chunk, uint32_t ri, NodeId d) {
-                              EmitRowAt(&chunk->rows, in, ri, d);
-                            });
-    AppendRows(out, std::move(rows.rows));
-  }
+  EmitChunk hits;
+  const size_t morsels = IntervalMerge(ctx, descs, ancs, groups, ct, &hits);
+  CountBatches(tr, morsels + GatherExpand(ctx, in, std::move(hits), out));
   return morsels;
 }
 
@@ -755,26 +694,15 @@ Table ExpandDescendantsNav(MctDatabase* db, const Table& in, int col,
   std::sort(hits.begin(), hits.end(), [](const Hit& x, const Hit& y) {
     return x.ds != y.ds ? x.ds < y.ds : x.anc_idx < y.anc_idx;
   });
-  if (ctx.batch) {
-    EmitChunk emits;
-    emits.Reserve(hits.size());
-    for (const Hit& h : hits) {
-      for (uint32_t ri : groups.at(ancs[h.anc_idx].node)) {
-        emits.idx.push_back(ri);
-        emits.node.push_back(h.d);
-      }
+  EmitChunk emits;
+  emits.Reserve(hits.size());
+  for (const Hit& h : hits) {
+    for (uint32_t ri : groups.at(ancs[h.anc_idx].node)) {
+      emits.idx.push_back(ri);
+      emits.node.push_back(h.d);
     }
-    CountBatches(tr, 1 + GatherExpand(ctx, in, std::move(emits), &out));
-  } else {
-    std::vector<Row> rows;
-    rows.reserve(hits.size());
-    for (const Hit& h : hits) {
-      for (uint32_t ri : groups.at(ancs[h.anc_idx].node)) {
-        EmitRowAt(&rows, in, ri, h.d);
-      }
-    }
-    AppendRows(&out, std::move(rows));
   }
+  CountBatches(tr, 1 + GatherExpand(ctx, in, std::move(emits), &out));
   if (tr.enabled()) tr.Finish(out.num_rows(), 1, hits.size());
   return out;
 }
@@ -813,21 +741,14 @@ Table ExpandDescendantsRoot(MctDatabase* db, const Table& in, int col,
   for (NodeId d : descs) {
     if (t->Contains(d)) kept.push_back(d);
   }
-  if (ctx.batch) {
-    // The base columns are n copies of the single input row; the emit
-    // column is the filtered scan itself (moved in).
-    const size_t ncols = in.num_cols();
-    for (size_t j = 0; j < ncols; ++j) {
-      out.cols[j].assign(kept.size(), in.At(0, static_cast<int>(j)));
-    }
-    if (!kept.empty()) CountBatches(tr, ncols + 1);
-    out.cols.back() = std::move(kept);
-  } else {
-    std::vector<Row> rows;
-    rows.reserve(kept.size());
-    for (NodeId d : kept) EmitRowAt(&rows, in, 0, d);
-    AppendRows(&out, std::move(rows));
+  // The base columns are n copies of the single input row; the emit
+  // column is the filtered scan itself (moved in).
+  const size_t ncols = in.num_cols();
+  for (size_t j = 0; j < ncols; ++j) {
+    out.cols[j].assign(kept.size(), in.At(0, static_cast<int>(j)));
   }
+  if (!kept.empty()) CountBatches(tr, ncols + 1);
+  out.cols.back() = std::move(kept);
   if (tr.enabled()) tr.Finish(out.num_rows(), descs.empty() ? 0 : 1,
                               descs.size());
   return out;
@@ -855,37 +776,20 @@ Table ExpandParent(MctDatabase* db, const Table& in, int col, ColorId color,
     return out;
   }
   const MctDatabase& cdb = *db;
-  size_t morsels;
-  if (ctx.batch) {
-    EmitChunk hits;
-    morsels = MorselCollect(
-        ctx, in.num_rows(), &hits,
-        [&](size_t begin, size_t end, EmitChunk* chunk, ExecStats*) {
-          for (size_t i = begin; i < end; ++i) {
-            auto p = cdb.Parent(in.At(i, col), color);
-            if (p.has_value() && cdb.Kind(*p) == xml::NodeKind::kElement &&
-                TagIdMatches(cdb, *p, tag, tag_id)) {
-              chunk->idx.push_back(static_cast<uint32_t>(i));
-              chunk->node.push_back(*p);
-            }
+  EmitChunk hits;
+  const size_t morsels = MorselCollect(
+      ctx, in.num_rows(), &hits,
+      [&](size_t begin, size_t end, EmitChunk* chunk, ExecStats*) {
+        for (size_t i = begin; i < end; ++i) {
+          auto p = cdb.Parent(in.At(i, col), color);
+          if (p.has_value() && cdb.Kind(*p) == xml::NodeKind::kElement &&
+              TagIdMatches(cdb, *p, tag, tag_id)) {
+            chunk->idx.push_back(static_cast<uint32_t>(i));
+            chunk->node.push_back(*p);
           }
-        });
-    CountBatches(tr, morsels + GatherExpand(ctx, in, std::move(hits), &out));
-  } else {
-    RowChunk rows;
-    morsels = MorselCollect(
-        ctx, in.num_rows(), &rows,
-        [&](size_t begin, size_t end, RowChunk* chunk, ExecStats*) {
-          for (size_t i = begin; i < end; ++i) {
-            auto p = cdb.Parent(in.At(i, col), color);
-            if (p.has_value() && cdb.Kind(*p) == xml::NodeKind::kElement &&
-                TagIdMatches(cdb, *p, tag, tag_id)) {
-              EmitRowAt(&chunk->rows, in, i, *p);
-            }
-          }
-        });
-    AppendRows(&out, std::move(rows.rows));
-  }
+        }
+      });
+  CountBatches(tr, morsels + GatherExpand(ctx, in, std::move(hits), &out));
   if (tr.enabled()) tr.Finish(out.num_rows(), morsels);
   return out;
 }
@@ -913,45 +817,24 @@ Table ExpandAncestors(MctDatabase* db, const Table& in, int col, ColorId color,
   }
   const ColoredTree* t = db->tree(color);
   const MctDatabase& cdb = *db;
-  size_t morsels;
-  if (ctx.batch) {
-    EmitChunk hits;
-    morsels = MorselCollect(
-        ctx, in.num_rows(), &hits,
-        [&](size_t begin, size_t end, EmitChunk* chunk, ExecStats*) {
-          for (size_t i = begin; i < end; ++i) {
-            NodeId n = in.At(i, col);
-            if (!t->Contains(n)) continue;
-            for (NodeId p = t->Parent(n); p != kInvalidNodeId;
-                 p = t->Parent(p)) {
-              if (cdb.Kind(p) == xml::NodeKind::kElement &&
-                  TagIdMatches(cdb, p, tag, tag_id)) {
-                chunk->idx.push_back(static_cast<uint32_t>(i));
-                chunk->node.push_back(p);
-              }
+  EmitChunk hits;
+  const size_t morsels = MorselCollect(
+      ctx, in.num_rows(), &hits,
+      [&](size_t begin, size_t end, EmitChunk* chunk, ExecStats*) {
+        for (size_t i = begin; i < end; ++i) {
+          NodeId n = in.At(i, col);
+          if (!t->Contains(n)) continue;
+          for (NodeId p = t->Parent(n); p != kInvalidNodeId;
+               p = t->Parent(p)) {
+            if (cdb.Kind(p) == xml::NodeKind::kElement &&
+                TagIdMatches(cdb, p, tag, tag_id)) {
+              chunk->idx.push_back(static_cast<uint32_t>(i));
+              chunk->node.push_back(p);
             }
           }
-        });
-    CountBatches(tr, morsels + GatherExpand(ctx, in, std::move(hits), &out));
-  } else {
-    RowChunk rows;
-    morsels = MorselCollect(
-        ctx, in.num_rows(), &rows,
-        [&](size_t begin, size_t end, RowChunk* chunk, ExecStats*) {
-          for (size_t i = begin; i < end; ++i) {
-            NodeId n = in.At(i, col);
-            if (!t->Contains(n)) continue;
-            for (NodeId p = t->Parent(n); p != kInvalidNodeId;
-                 p = t->Parent(p)) {
-              if (cdb.Kind(p) == xml::NodeKind::kElement &&
-                  TagIdMatches(cdb, p, tag, tag_id)) {
-                EmitRowAt(&chunk->rows, in, i, p);
-              }
-            }
-          }
-        });
-    AppendRows(&out, std::move(rows.rows));
-  }
+        }
+      });
+  CountBatches(tr, morsels + GatherExpand(ctx, in, std::move(hits), &out));
   if (tr.enabled()) tr.Finish(out.num_rows(), morsels);
   return out;
 }
@@ -993,25 +876,10 @@ Table CrossTreeJoin(MctDatabase* db, const Table& in, int col, ColorId to_color,
     if (tr.enabled()) tr.Finish(0, 0, 0);
     return out;
   }
-  const ColoredTree* t = db->tree(to_color);
-  size_t morsels;
-  if (ctx.batch) {
-    IdxChunk keep;
-    morsels = CollectColorSurvivors(ctx, in, col, *t, &keep);
-    CountBatches(tr, morsels + GatherColumns(ctx, in, keep.idx, &out, 0));
-  } else {
-    RowChunk rows;
-    morsels = MorselCollect(
-        ctx, in.num_rows(), &rows,
-        [&](size_t begin, size_t end, RowChunk* chunk, ExecStats*) {
-          for (size_t i = begin; i < end; ++i) {
-            if (t->Contains(in.At(i, col))) {
-              chunk->rows.push_back(in.RowAt(i));
-            }
-          }
-        });
-    AppendRows(&out, std::move(rows.rows));
-  }
+  IdxChunk keep;
+  const size_t morsels =
+      CollectColorSurvivors(ctx, in, col, *db->tree(to_color), &keep);
+  CountBatches(tr, morsels + GatherColumns(ctx, in, keep.idx, &out, 0));
   ObserveSelectivity(in.num_rows(), out.num_rows());
   if (tr.enabled()) tr.Finish(out.num_rows(), morsels);
   return out;
@@ -1019,10 +887,6 @@ Table CrossTreeJoin(MctDatabase* db, const Table& in, int col, ColorId to_color,
 
 Table CrossTreeJoin(MctDatabase* db, Table&& in, int col, ColorId to_color,
                     const ExecContext& ctx) {
-  if (!ctx.batch) {
-    return CrossTreeJoin(db, static_cast<const Table&>(in), col, to_color,
-                         ctx);
-  }
   if (ctx.stats != nullptr) ++ctx.stats->cross_tree_joins;
   OpScope tr(ctx, "CROSS-TREE JOIN", in.num_rows());
   if (tr.enabled()) {
@@ -1103,30 +967,17 @@ Table StructuralSemiJoin(MctDatabase* db, const Table& in, int col,
     }
     return lo > 0 && prefix_max_end[lo - 1] > s;
   };
-  size_t morsels;
-  if (ctx.batch) {
-    IdxChunk keep;
-    morsels = MorselCollect(
-        ctx, in.num_rows(), &keep,
-        [&](size_t begin, size_t end, IdxChunk* chunk, ExecStats*) {
-          for (size_t i = begin; i < end; ++i) {
-            if (contained(in.At(i, col))) {
-              chunk->idx.push_back(static_cast<uint32_t>(i));
-            }
+  IdxChunk keep;
+  const size_t morsels = MorselCollect(
+      ctx, in.num_rows(), &keep,
+      [&](size_t begin, size_t end, IdxChunk* chunk, ExecStats*) {
+        for (size_t i = begin; i < end; ++i) {
+          if (contained(in.At(i, col))) {
+            chunk->idx.push_back(static_cast<uint32_t>(i));
           }
-        });
-    CountBatches(tr, morsels + GatherColumns(ctx, in, keep.idx, &out, 0));
-  } else {
-    RowChunk rows;
-    morsels = MorselCollect(
-        ctx, in.num_rows(), &rows,
-        [&](size_t begin, size_t end, RowChunk* chunk, ExecStats*) {
-          for (size_t i = begin; i < end; ++i) {
-            if (contained(in.At(i, col))) chunk->rows.push_back(in.RowAt(i));
-          }
-        });
-    AppendRows(&out, std::move(rows.rows));
-  }
+        }
+      });
+  CountBatches(tr, morsels + GatherColumns(ctx, in, keep.idx, &out, 0));
   ObserveSelectivity(in.num_rows(), out.num_rows());
   if (tr.enabled()) tr.Finish(out.num_rows(), morsels);
   return out;
@@ -1146,10 +997,9 @@ size_t ExtractKeyColumn(const ExecContext& ctx, size_t n,
   });
 }
 
-// Vectorized hash-join core: build a key -> build-row-index table
-// (serial), then probe morsel-parallel over the probe key column emitting
-// (left row, right row) pairs. Probe-major, bucket insertion order —
-// identical emission order to the legacy row-at-a-time join.
+// Hash-join core: build a key -> build-row-index table (serial), then
+// probe morsel-parallel over the probe key column emitting (left row,
+// right row) pairs, probe-major in bucket insertion order.
 template <typename Key>
 size_t HashJoinProbe(const ExecContext& ctx, bool build_left,
                      const std::vector<std::optional<Key>>& bkeys,
@@ -1180,47 +1030,6 @@ size_t HashJoinProbe(const ExecContext& ctx, bool build_left,
           }
         }
       });
-}
-
-// Legacy build+probe of HashValueJoin, generic over the key type so the
-// viewable specs can use std::string_view keys aliasing the node store.
-// Per-row key extraction and per-tuple row materialization — the
-// pre-columnar cost profile.
-template <typename BuildKeyFn, typename ProbeKeyFn>
-size_t HashJoinLegacy(const ExecContext& ctx, const Table& build,
-                      const Table& probe, bool build_left, Table* out,
-                      const BuildKeyFn& build_key,
-                      const ProbeKeyFn& probe_key) {
-  using Key = std::decay_t<decltype(*build_key(size_t{0}))>;
-  std::unordered_map<Key, std::vector<uint32_t>> ht;
-  for (size_t i = 0; i < build.num_rows(); ++i) {
-    auto k = build_key(i);
-    if (k.has_value()) ht[*k].push_back(static_cast<uint32_t>(i));
-  }
-  RowChunk rows;
-  size_t morsels = MorselCollect(
-      ctx, probe.num_rows(), &rows,
-      [&](size_t begin, size_t end, RowChunk* chunk, ExecStats*) {
-        for (size_t pi = begin; pi < end; ++pi) {
-          auto k = probe_key(pi);
-          if (!k.has_value()) continue;
-          auto it = ht.find(*k);
-          if (it == ht.end()) continue;
-          const Row prow = probe.RowAt(pi);
-          for (uint32_t bi : it->second) {
-            const Row brow = build.RowAt(bi);
-            Row row;
-            row.reserve(out->num_cols());
-            const Row& l = build_left ? brow : prow;
-            const Row& r = build_left ? prow : brow;
-            row.insert(row.end(), l.begin(), l.end());
-            row.insert(row.end(), r.begin(), r.end());
-            chunk->rows.push_back(std::move(row));
-          }
-        }
-      });
-  AppendRows(out, std::move(rows.rows));
-  return morsels;
 }
 
 Table JoinOutput(const Table& left, const Table& right) {
@@ -1266,41 +1075,29 @@ Table HashValueJoin(MctDatabase* db, const Table& left, int lcol,
   // Viewable keys (content / attribute images) hash as string_views into
   // the node store — no per-row key copies on either side.
   size_t morsels;
-  if (ctx.batch) {
-    PairChunk pairs;
-    size_t batches = 0;
-    if (KeySpecViewable(bkey) && KeySpecViewable(pkey)) {
-      std::vector<std::optional<std::string_view>> bk, pk;
-      batches += ExtractKeyColumn(ctx, build.num_rows(), &bk, [&](size_t i) {
-        return ExtractKeyView(cdb, build.At(i, bcol), bkey);
-      });
-      batches += ExtractKeyColumn(ctx, probe.num_rows(), &pk, [&](size_t i) {
-        return ExtractKeyView(cdb, probe.At(i, pcol), pkey);
-      });
-      morsels = HashJoinProbe(ctx, build_left, bk, pk, &pairs);
-    } else {
-      std::vector<std::optional<std::string>> bk, pk;
-      batches += ExtractKeyColumn(ctx, build.num_rows(), &bk, [&](size_t i) {
-        return ExtractKey(cdb, build.At(i, bcol), bkey);
-      });
-      batches += ExtractKeyColumn(ctx, probe.num_rows(), &pk, [&](size_t i) {
-        return ExtractKey(cdb, probe.At(i, pcol), pkey);
-      });
-      morsels = HashJoinProbe(ctx, build_left, bk, pk, &pairs);
-    }
-    CountBatches(tr, batches + morsels + GatherJoin(ctx, left, right, pairs,
-                                                    &out));
-  } else if (KeySpecViewable(bkey) && KeySpecViewable(pkey)) {
-    morsels = HashJoinLegacy(
-        ctx, build, probe, build_left, &out,
-        [&](size_t i) { return ExtractKeyView(cdb, build.At(i, bcol), bkey); },
-        [&](size_t i) { return ExtractKeyView(cdb, probe.At(i, pcol), pkey); });
+  PairChunk pairs;
+  size_t batches = 0;
+  if (KeySpecViewable(bkey) && KeySpecViewable(pkey)) {
+    std::vector<std::optional<std::string_view>> bk, pk;
+    batches += ExtractKeyColumn(ctx, build.num_rows(), &bk, [&](size_t i) {
+      return ExtractKeyView(cdb, build.At(i, bcol), bkey);
+    });
+    batches += ExtractKeyColumn(ctx, probe.num_rows(), &pk, [&](size_t i) {
+      return ExtractKeyView(cdb, probe.At(i, pcol), pkey);
+    });
+    morsels = HashJoinProbe(ctx, build_left, bk, pk, &pairs);
   } else {
-    morsels = HashJoinLegacy(
-        ctx, build, probe, build_left, &out,
-        [&](size_t i) { return ExtractKey(cdb, build.At(i, bcol), bkey); },
-        [&](size_t i) { return ExtractKey(cdb, probe.At(i, pcol), pkey); });
+    std::vector<std::optional<std::string>> bk, pk;
+    batches += ExtractKeyColumn(ctx, build.num_rows(), &bk, [&](size_t i) {
+      return ExtractKey(cdb, build.At(i, bcol), bkey);
+    });
+    batches += ExtractKeyColumn(ctx, probe.num_rows(), &pk, [&](size_t i) {
+      return ExtractKey(cdb, probe.At(i, pcol), pkey);
+    });
+    morsels = HashJoinProbe(ctx, build_left, bk, pk, &pairs);
   }
+  CountBatches(tr,
+               batches + morsels + GatherJoin(ctx, left, right, pairs, &out));
   if (tr.enabled()) tr.Finish(out.num_rows(), morsels, probe.num_rows());
   return out;
 }
@@ -1329,49 +1126,24 @@ Table IdrefsJoin(MctDatabase* db, const Table& left, int lcol,
     auto k = ExtractKey(cdb, right.At(i, rcol), rkey);
     if (k.has_value()) ht[*k].push_back(static_cast<uint32_t>(i));
   }
-  size_t morsels;
-  if (ctx.batch) {
-    PairChunk pairs;
-    morsels = MorselCollect(
-        ctx, left.num_rows(), &pairs,
-        [&](size_t begin, size_t end, PairChunk* chunk, ExecStats*) {
-          for (size_t li = begin; li < end; ++li) {
-            auto list = ExtractKey(cdb, left.At(li, lcol), lkey);
-            if (!list.has_value()) continue;
-            for (const std::string& token : SplitWhitespace(*list)) {
-              auto it = ht.find(token);
-              if (it == ht.end()) continue;
-              for (uint32_t ri : it->second) {
-                chunk->li.push_back(static_cast<uint32_t>(li));
-                chunk->ri.push_back(ri);
-              }
+  PairChunk pairs;
+  const size_t morsels = MorselCollect(
+      ctx, left.num_rows(), &pairs,
+      [&](size_t begin, size_t end, PairChunk* chunk, ExecStats*) {
+        for (size_t li = begin; li < end; ++li) {
+          auto list = ExtractKey(cdb, left.At(li, lcol), lkey);
+          if (!list.has_value()) continue;
+          for (const std::string& token : SplitWhitespace(*list)) {
+            auto it = ht.find(token);
+            if (it == ht.end()) continue;
+            for (uint32_t ri : it->second) {
+              chunk->li.push_back(static_cast<uint32_t>(li));
+              chunk->ri.push_back(ri);
             }
           }
-        });
-    CountBatches(tr, morsels + GatherJoin(ctx, left, right, pairs, &out));
-  } else {
-    RowChunk rows;
-    morsels = MorselCollect(
-        ctx, left.num_rows(), &rows,
-        [&](size_t begin, size_t end, RowChunk* chunk, ExecStats*) {
-          for (size_t li = begin; li < end; ++li) {
-            auto list = ExtractKey(cdb, left.At(li, lcol), lkey);
-            if (!list.has_value()) continue;
-            const Row lrow = left.RowAt(li);
-            for (const std::string& token : SplitWhitespace(*list)) {
-              auto it = ht.find(token);
-              if (it == ht.end()) continue;
-              for (uint32_t ri : it->second) {
-                Row row = lrow;
-                const Row rrow = right.RowAt(ri);
-                row.insert(row.end(), rrow.begin(), rrow.end());
-                chunk->rows.push_back(std::move(row));
-              }
-            }
-          }
-        });
-    AppendRows(&out, std::move(rows.rows));
-  }
+        }
+      });
+  CountBatches(tr, morsels + GatherJoin(ctx, left, right, pairs, &out));
   if (tr.enabled()) tr.Finish(out.num_rows(), morsels, left.num_rows());
   return out;
 }
@@ -1394,43 +1166,21 @@ Table NestedLoopJoin(MctDatabase* db, const Table& left, const Table& right,
   // late. When governed and the inner side is large enough to amortize a
   // clock read, check per left row.
   const bool row_check = ctx.governor != nullptr && rn > 256;
-  size_t morsels;
-  if (ctx.batch) {
-    PairChunk pairs;
-    morsels = MorselCollect(
-        ctx, left.num_rows(), &pairs,
-        [&](size_t begin, size_t end, PairChunk* chunk, ExecStats*) {
-          for (size_t i = begin; i < end; ++i) {
-            if (row_check && ctx.governor->ShouldStop()) return;
-            for (size_t j = 0; j < rn; ++j) {
-              if (pred(i, j)) {
-                chunk->li.push_back(static_cast<uint32_t>(i));
-                chunk->ri.push_back(static_cast<uint32_t>(j));
-              }
+  PairChunk pairs;
+  const size_t morsels = MorselCollect(
+      ctx, left.num_rows(), &pairs,
+      [&](size_t begin, size_t end, PairChunk* chunk, ExecStats*) {
+        for (size_t i = begin; i < end; ++i) {
+          if (row_check && ctx.governor->ShouldStop()) return;
+          for (size_t j = 0; j < rn; ++j) {
+            if (pred(i, j)) {
+              chunk->li.push_back(static_cast<uint32_t>(i));
+              chunk->ri.push_back(static_cast<uint32_t>(j));
             }
           }
-        });
-    CountBatches(tr, morsels + GatherJoin(ctx, left, right, pairs, &out));
-  } else {
-    RowChunk rows;
-    morsels = MorselCollect(
-        ctx, left.num_rows(), &rows,
-        [&](size_t begin, size_t end, RowChunk* chunk, ExecStats*) {
-          for (size_t i = begin; i < end; ++i) {
-            if (row_check && ctx.governor->ShouldStop()) return;
-            const Row lrow = left.RowAt(i);
-            for (size_t j = 0; j < rn; ++j) {
-              if (pred(i, j)) {
-                Row row = lrow;
-                const Row rrow = right.RowAt(j);
-                row.insert(row.end(), rrow.begin(), rrow.end());
-                chunk->rows.push_back(std::move(row));
-              }
-            }
-          }
-        });
-    AppendRows(&out, std::move(rows.rows));
-  }
+        }
+      });
+  CountBatches(tr, morsels + GatherJoin(ctx, left, right, pairs, &out));
   if (tr.enabled()) tr.Finish(out.num_rows(), morsels, left.num_rows());
   return out;
 }
@@ -1449,41 +1199,20 @@ Table IdentityJoin(MctDatabase* db, const Table& left, int lcol,
   }
   Table out = JoinOutput(left, right);
   const auto groups = GroupByNode(right, rcol);
-  size_t morsels;
-  if (ctx.batch) {
-    PairChunk pairs;
-    morsels = MorselCollect(
-        ctx, left.num_rows(), &pairs,
-        [&](size_t begin, size_t end, PairChunk* chunk, ExecStats*) {
-          for (size_t li = begin; li < end; ++li) {
-            auto it = groups.find(left.At(li, lcol));
-            if (it == groups.end()) continue;
-            for (uint32_t ri : it->second) {
-              chunk->li.push_back(static_cast<uint32_t>(li));
-              chunk->ri.push_back(ri);
-            }
+  PairChunk pairs;
+  const size_t morsels = MorselCollect(
+      ctx, left.num_rows(), &pairs,
+      [&](size_t begin, size_t end, PairChunk* chunk, ExecStats*) {
+        for (size_t li = begin; li < end; ++li) {
+          auto it = groups.find(left.At(li, lcol));
+          if (it == groups.end()) continue;
+          for (uint32_t ri : it->second) {
+            chunk->li.push_back(static_cast<uint32_t>(li));
+            chunk->ri.push_back(ri);
           }
-        });
-    CountBatches(tr, morsels + GatherJoin(ctx, left, right, pairs, &out));
-  } else {
-    RowChunk rows;
-    morsels = MorselCollect(
-        ctx, left.num_rows(), &rows,
-        [&](size_t begin, size_t end, RowChunk* chunk, ExecStats*) {
-          for (size_t li = begin; li < end; ++li) {
-            auto it = groups.find(left.At(li, lcol));
-            if (it == groups.end()) continue;
-            const Row lrow = left.RowAt(li);
-            for (uint32_t ri : it->second) {
-              Row row = lrow;
-              const Row rrow = right.RowAt(ri);
-              row.insert(row.end(), rrow.begin(), rrow.end());
-              chunk->rows.push_back(std::move(row));
-            }
-          }
-        });
-    AppendRows(&out, std::move(rows.rows));
-  }
+        }
+      });
+  CountBatches(tr, morsels + GatherJoin(ctx, left, right, pairs, &out));
   if (tr.enabled()) tr.Finish(out.num_rows(), morsels, left.num_rows());
   return out;
 }
@@ -1509,22 +1238,10 @@ Table FilterRows(const Table& in, const std::function<bool(size_t)>& pred,
                  const ExecContext& ctx) {
   OpScope tr(ctx, "FILTER", in.num_rows());
   Table out = Table::WithVars(in.vars);
-  size_t morsels;
-  if (ctx.batch) {
-    IdxChunk keep;
-    morsels = CollectFilterSurvivors(ctx, in.num_rows(), pred, &keep);
-    CountBatches(tr, morsels + GatherColumns(ctx, in, keep.idx, &out, 0));
-  } else {
-    RowChunk rows;
-    morsels = MorselCollect(
-        ctx, in.num_rows(), &rows,
-        [&](size_t begin, size_t end, RowChunk* chunk, ExecStats*) {
-          for (size_t i = begin; i < end; ++i) {
-            if (pred(i)) chunk->rows.push_back(in.RowAt(i));
-          }
-        });
-    AppendRows(&out, std::move(rows.rows));
-  }
+  IdxChunk keep;
+  const size_t morsels =
+      CollectFilterSurvivors(ctx, in.num_rows(), pred, &keep);
+  CountBatches(tr, morsels + GatherColumns(ctx, in, keep.idx, &out, 0));
   ObserveSelectivity(in.num_rows(), out.num_rows());
   if (tr.enabled()) tr.Finish(out.num_rows(), morsels);
   return out;
@@ -1532,9 +1249,6 @@ Table FilterRows(const Table& in, const std::function<bool(size_t)>& pred,
 
 Table FilterRows(Table&& in, const std::function<bool(size_t)>& pred,
                  const ExecContext& ctx) {
-  if (!ctx.batch) {
-    return FilterRows(static_cast<const Table&>(in), pred, ctx);
-  }
   OpScope tr(ctx, "FILTER", in.num_rows());
   IdxChunk keep;
   size_t morsels = CollectFilterSurvivors(ctx, in.num_rows(), pred, &keep);
@@ -1583,19 +1297,7 @@ Table DupElim(const Table& in, const std::vector<int>& cols,
   OpScope tr(ctx, "DUP ELIM", in.num_rows());
   const size_t n = in.num_rows();
   Table out = Table::WithVars(in.vars);
-  if (ctx.batch) {
-    std::vector<uint32_t> keep = DupSurvivors(in, cols);
-    CountBatches(tr, GatherColumns(ctx, in, keep, &out, 0));
-  } else {
-    std::vector<Row> rows;
-    std::unordered_set<std::string> seen;
-    std::string key;
-    for (size_t i = 0; i < n; ++i) {
-      DupKeyAt(in, i, cols, &key);
-      if (seen.insert(key).second) rows.push_back(in.RowAt(i));
-    }
-    AppendRows(&out, std::move(rows));
-  }
+  CountBatches(tr, GatherColumns(ctx, in, DupSurvivors(in, cols), &out, 0));
   ObserveSelectivity(n, out.num_rows());
   if (tr.enabled()) tr.Finish(out.num_rows(), n == 0 ? 0 : 1, 0);
   return out;
@@ -1603,9 +1305,6 @@ Table DupElim(const Table& in, const std::vector<int>& cols,
 
 Table DupElim(Table&& in, const std::vector<int>& cols,
               const ExecContext& ctx) {
-  if (!ctx.batch) {
-    return DupElim(static_cast<const Table&>(in), cols, ctx);
-  }
   if (ctx.stats != nullptr) ++ctx.stats->dup_elims;
   OpScope tr(ctx, "DUP ELIM", in.num_rows());
   const size_t n = in.num_rows();
@@ -1706,14 +1405,7 @@ Table SortRowsBy(const MctDatabase& db, const Table& in, int col,
     sort_order(keys);
   }
   Table out = Table::WithVars(in.vars);
-  if (ctx.batch) {
-    CountBatches(tr, morsels + GatherColumns(ctx, in, order, &out, 0));
-  } else {
-    std::vector<Row> rows;
-    rows.reserve(n);
-    for (uint32_t i : order) rows.push_back(in.RowAt(i));
-    AppendRows(&out, std::move(rows));
-  }
+  CountBatches(tr, morsels + GatherColumns(ctx, in, order, &out, 0));
   if (tr.enabled()) tr.Finish(out.num_rows(), morsels);
   return out;
 }

@@ -1,20 +1,16 @@
 // Physical operators over binding tables.
 //
 // Every operator takes an ExecContext (stats sink + optional worker pool).
-// Execution is vectorized by default (ExecContext::batch): operators
-// collect (input row index, emitted node) pairs into column chunks and
-// materialize their output table with per-column batch gathers; filters
-// and duplicate elimination flip the table's selection vector instead of
-// copying rows. ExecContext::batch = false routes the hot operators
-// through retained row-at-a-time paths (one materialized row vector per
-// tuple — the pre-columnar cost profile) for A/B measurement; both modes
-// produce identical tables.
+// Execution is vectorized: operators collect (input row index, emitted
+// node) pairs into column chunks and materialize their output table with
+// per-column batch gathers; filters and duplicate elimination flip the
+// table's selection vector instead of copying rows.
 //
 // When a pool is present, row-oriented operators run morsel-driven: the
 // input rows are split into fixed-size morsels claimed by workers off a
-// shared counter; each morsel emits into a private buffer (a column chunk
-// under batch execution) and the buffers are concatenated in morsel index
-// order, so the output is byte-identical to the serial run (the
+// shared counter; each morsel emits into a private column chunk and the
+// chunks are concatenated in morsel index order, so the output is
+// byte-identical to the serial run (the
 // determinism contract the tests enforce). Index probes (TagScan,
 // content/attr lookups) and hash-table builds stay in the serial prefix of
 // each operator; workers only perform const reads of the in-memory tree

@@ -135,16 +135,12 @@ struct Table {
     cols.push_back(std::move(data));
   }
 
-  /// Appends one row (cell per column). Precondition: dense(). Row-at-a-
-  /// time shape: the vectorized paths use gathers instead.
+  /// Appends one row (cell per column). Precondition: dense(). For row-
+  /// shaped producers (FromRows, the path-stack join's emit); operators
+  /// materialize with gathers instead.
   void AppendRow(const std::vector<NodeId>& row) {
     assert(dense() && row.size() == cols.size());
     for (size_t j = 0; j < cols.size(); ++j) cols[j].push_back(row[j]);
-  }
-
-  /// Reserves capacity for n rows in every column.
-  void Reserve(size_t n) {
-    for (auto& c : cols) c.reserve(n);
   }
 
   /// Restricts the table to the given logical rows, in order, by composing
@@ -196,8 +192,7 @@ struct Table {
     }
   }
 
-  /// One logical row materialized as a vector (legacy row-at-a-time paths
-  /// and tests).
+  /// One logical row materialized as a vector (ToRows and tests).
   std::vector<NodeId> RowAt(size_t row) const {
     std::vector<NodeId> r;
     r.reserve(cols.size());
@@ -249,8 +244,8 @@ struct ExecStats {
 
 /// Everything an operator needs beyond its operands: the stats sink and the
 /// parallel execution configuration. Implicitly constructible from a bare
-/// ExecStats* so legacy call sites (`&stats`, `nullptr`) keep working and
-/// run serially.
+/// ExecStats* so call sites that only count (`&stats`, `nullptr`) stay
+/// short and run serially.
 struct ExecContext {
   ExecStats* stats = nullptr;
   /// Worker pool; nullptr = serial execution.
@@ -270,13 +265,6 @@ struct ExecContext {
   /// sticky status first) and large materializations are charged to the
   /// budget before they grow.
   ResourceGovernor* governor = nullptr;
-  /// Vectorized (batch) execution: operators emit (row index, value) pairs
-  /// into column chunks and materialize output with per-column gathers;
-  /// filters flip selection vectors. false routes the hot operators
-  /// through the retained row-at-a-time paths, which re-materialize one
-  /// row vector per tuple — the pre-columnar cost profile the --batch A/B
-  /// benchmark compares against. Results are identical either way.
-  bool batch = true;
   /// Session color visibility mask (mct/color.h, DESIGN.md §16): the
   /// defense-in-depth backstop below the analyzer and the evaluator's own
   /// per-step filtering. Color-parameterized operators asked to expand

@@ -35,9 +35,9 @@ struct OpTrace {
   /// Rows driven through the morsel fan-out. Usually rows_in; descendant
   /// expansion drives the scanned descendant stream instead.
   uint64_t fanout_rows = 0;
-  /// Column-batch kernel invocations this operator performed under
-  /// vectorized execution: emit-collection chunks plus gather passes.
-  /// 0 = the operator ran row-at-a-time (or emitted nothing).
+  /// Column-batch kernel invocations this operator performed: emit-
+  /// collection chunks plus gather passes. 0 = the operator emitted
+  /// nothing.
   uint64_t batches = 0;
   /// Color transitions (cross-tree joins) performed by this node.
   uint64_t color_transitions = 0;

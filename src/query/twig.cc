@@ -1,9 +1,6 @@
 #include "query/twig.h"
 
-#include "query/ops.h"
-
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/governor.h"
 #include "common/strings.h"
@@ -202,45 +199,6 @@ bool TwigPattern::IsPath() const {
   return true;
 }
 
-std::vector<std::vector<int>> TwigPattern::RootToLeafPaths() const {
-  std::vector<std::vector<int>> kids(nodes.size());
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    if (nodes[i].parent >= 0) {
-      kids[static_cast<size_t>(nodes[i].parent)].push_back(
-          static_cast<int>(i));
-    }
-  }
-  std::vector<std::vector<int>> paths;
-  std::vector<int> cur;
-  // DFS from node 0.
-  struct Frame {
-    int node;
-    size_t next_kid;
-  };
-  std::vector<Frame> stack{{0, 0}};
-  cur.push_back(0);
-  while (!stack.empty()) {
-    Frame& f = stack.back();
-    auto& k = kids[static_cast<size_t>(f.node)];
-    if (k.empty() && f.next_kid == 0) {
-      paths.push_back(cur);
-      ++f.next_kid;  // mark leaf done
-      stack.pop_back();
-      cur.pop_back();
-      continue;
-    }
-    if (f.next_kid < k.size()) {
-      int child = k[f.next_kid++];
-      stack.push_back({child, 0});
-      cur.push_back(child);
-    } else {
-      stack.pop_back();
-      cur.pop_back();
-    }
-  }
-  return paths;
-}
-
 Result<Table> PathStackJoin(MctDatabase* db, ColorId color,
                             const TwigPattern& pattern, const ExecContext& ctx) {
   if (!pattern.IsPath()) {
@@ -317,118 +275,6 @@ Result<Table> PathStackJoin(MctDatabase* db, ColorId color,
   // A governed abort must never surface its truncated table as a result.
   if (gov != nullptr && gov->tripped()) return gov->status();
   return out;
-}
-
-Result<Table> TwigStackJoin(MctDatabase* db, ColorId color,
-                            const TwigPattern& pattern, const ExecContext& ctx) {
-  if (pattern.nodes.empty()) {
-    return Status::InvalidArgument("empty twig pattern");
-  }
-  auto paths = pattern.RootToLeafPaths();
-  // Solve each root-to-leaf path holistically.
-  std::vector<Table> tables;
-  for (const auto& path : paths) {
-    TwigPattern sub;
-    for (size_t j = 0; j < path.size(); ++j) {
-      const TwigNode& n = pattern.nodes[static_cast<size_t>(path[j])];
-      sub.Add(static_cast<int>(j) - 1, n.tag, n.child_axis);
-    }
-    MCT_ASSIGN_OR_RETURN(Table t, PathStackJoin(db, color, sub, ctx));
-    // Rename columns back to the global pattern indices.
-    for (size_t j = 0; j < path.size(); ++j) {
-      t.vars[j] = ColName(pattern, path[j]);
-    }
-    tables.push_back(std::move(t));
-  }
-  // Merge path solutions on their shared columns.
-  Table acc = std::move(tables[0]);
-  for (size_t pi = 1; pi < tables.size(); ++pi) {
-    Table& right = tables[pi];
-    // Columns shared with acc (by name) and right-only columns.
-    std::vector<int> shared_l, shared_r, extra_r;
-    for (size_t j = 0; j < right.vars.size(); ++j) {
-      int li = acc.ColumnOf(right.vars[j]);
-      if (li >= 0) {
-        shared_l.push_back(li);
-        shared_r.push_back(static_cast<int>(j));
-      } else {
-        extra_r.push_back(static_cast<int>(j));
-      }
-    }
-    auto key_of = [](const Table& t, size_t row,
-                     const std::vector<int>& cols) {
-      std::string key;
-      for (int c : cols) {
-        NodeId v = t.At(row, c);
-        key.append(reinterpret_cast<const char*>(&v), sizeof(NodeId));
-      }
-      return key;
-    };
-    // Join scratch (string keys + row-index vectors, ~64 bytes/entry).
-    if (ctx.governor != nullptr) {
-      MCT_RETURN_IF_ERROR(ctx.governor->Charge(right.num_rows() * 64));
-    }
-    std::unordered_map<std::string, std::vector<uint32_t>> ht;
-    for (size_t i = 0; i < right.num_rows(); ++i) {
-      ht[key_of(right, i, shared_r)].push_back(static_cast<uint32_t>(i));
-    }
-    std::vector<std::string> merged_vars = acc.vars;
-    for (int c : extra_r) {
-      merged_vars.push_back(right.vars[static_cast<size_t>(c)]);
-    }
-    Table merged = Table::WithVars(std::move(merged_vars));
-    if (ctx.batch) {
-      // Collect matching (acc row, right row) pairs, then materialize both
-      // sides with column-at-a-time gathers.
-      std::vector<uint32_t> li, ri;
-      for (size_t i = 0; i < acc.num_rows(); ++i) {
-        if (ctx.governor != nullptr && (i & 1023) == 0) {
-          MCT_RETURN_IF_ERROR(ctx.governor->Check());
-        }
-        auto it = ht.find(key_of(acc, i, shared_l));
-        if (it == ht.end()) continue;
-        for (uint32_t r : it->second) {
-          li.push_back(static_cast<uint32_t>(i));
-          ri.push_back(r);
-        }
-      }
-      const size_t acc_cols = acc.num_cols();
-      // Merged output buffers (Table::GatherInto has no ExecContext, so
-      // the charge happens here).
-      if (ctx.governor != nullptr) {
-        MCT_RETURN_IF_ERROR(ctx.governor->Charge(
-            li.size() * merged.num_cols() * sizeof(NodeId)));
-      }
-      Table::GatherInto(acc, li, &merged, 0);
-      // Project the right side down to its extra columns first (a column
-      // move, no cell copies), so the gather touches only those.
-      Table rex = Project(std::move(right), extra_r);
-      Table::GatherInto(rex, ri, &merged, acc_cols);
-    } else {
-      for (size_t i = 0; i < acc.num_rows(); ++i) {
-        if (ctx.governor != nullptr && (i & 1023) == 0) {
-          MCT_RETURN_IF_ERROR(ctx.governor->Check());
-        }
-        auto it = ht.find(key_of(acc, i, shared_l));
-        if (it == ht.end()) continue;
-        std::vector<NodeId> lrow = acc.RowAt(i);
-        for (uint32_t ri : it->second) {
-          std::vector<NodeId> row = lrow;
-          for (int c : extra_r) {
-            row.push_back(right.At(ri, c));
-          }
-          merged.AppendRow(row);
-        }
-      }
-    }
-    acc = std::move(merged);
-  }
-  // Normalize column order to pattern index order.
-  std::vector<int> order;
-  for (size_t i = 0; i < pattern.nodes.size(); ++i) {
-    order.push_back(acc.ColumnOf(ColName(pattern, static_cast<int>(i))));
-  }
-  return Project(std::move(acc), order);
 }
 
 }  // namespace mct::query

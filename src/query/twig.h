@@ -4,11 +4,10 @@
 // A twig pattern is a small tree of (tag, axis) tests. PathStackJoin
 // evaluates a *path* pattern (no branching) holistically: all tag streams
 // are merged in one pass over their interval labels with chained stacks, so
-// no intermediate binary-join result can blow up. TwigStackJoin decomposes
-// a branching twig into its root-to-leaf paths, solves each holistically,
-// and merge-joins the path solutions on their shared prefixes.
+// no intermediate binary-join result can blow up. The planner runs it as
+// the descendant spine of a binding (DESIGN.md §12).
 //
-// Both agree exactly with composing the binary structural joins of ops.h
+// It agrees exactly with composing the binary structural joins of ops.h
 // (property-tested); the ablation benchmark compares their costs.
 
 #ifndef COLORFUL_XML_QUERY_TWIG_H_
@@ -42,18 +41,11 @@ struct TwigPattern {
   }
 
   bool IsPath() const;
-  /// Root-to-leaf paths as index sequences.
-  std::vector<std::vector<int>> RootToLeafPaths() const;
 };
 
 /// Holistic path join: `pattern` must be a path (each node at most one
 /// child). Output columns follow pattern-node order.
 Result<Table> PathStackJoin(MctDatabase* db, ColorId color,
-                            const TwigPattern& pattern, const ExecContext& ctx);
-
-/// General twig: path decomposition + merge on shared prefixes. Output
-/// columns follow pattern-node index order (var = "#<i>:<tag>").
-Result<Table> TwigStackJoin(MctDatabase* db, ColorId color,
                             const TwigPattern& pattern, const ExecContext& ctx);
 
 }  // namespace mct::query

@@ -11,7 +11,7 @@ Result<QueryRun> RunQuery(MctDatabase* db, ColorId default_color,
                           query::QueryTrace* trace, WalWriter* wal,
                           mcx::AnalyzeMode analyze, mcx::AnalysisReport* check,
                           bool planner, query::PlanCache* plan_cache,
-                          bool vectorized, CancelToken* cancel,
+                          CancelToken* cancel,
                           int64_t deadline_ms, uint64_t memory_limit_bytes,
                           const ColorMask& mask,
                           mcx::AnalyzeMode mask_enforcement) {
@@ -28,7 +28,6 @@ Result<QueryRun> RunQuery(MctDatabase* db, ColorId default_color,
   opts.check = check;
   opts.planner = planner || plan_cache != nullptr;
   opts.plan_cache = plan_cache;
-  opts.vectorized = vectorized;
   opts.cancel_token = cancel;
   if (deadline_ms > 0) {
     opts.deadline = std::chrono::steady_clock::now() +

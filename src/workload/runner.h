@@ -41,9 +41,7 @@ struct QueryRun {
 /// `plan_cache` (implies planner-style session timing) additionally routes
 /// the statement through Evaluator::Run(text), so the measured wall time
 /// covers parse + plan + execute and repeated statements hit the cache —
-/// the workload-session cost the planner bench compares. `vectorized`
-/// follows EvalOptions::vectorized: false runs the operators' retained
-/// row-at-a-time paths (the --batch A/B baseline); results are identical.
+/// the workload-session cost the planner bench compares.
 /// Resource governor (common/governor.h): `cancel` may be raised from
 /// another thread to abort the run; `deadline_ms` > 0 bounds its wall
 /// clock; `memory_limit_bytes` > 0 caps its materialized bytes — trips
@@ -60,7 +58,6 @@ Result<QueryRun> RunQuery(MctDatabase* db, ColorId default_color,
                           mcx::AnalysisReport* check = nullptr,
                           bool planner = false,
                           query::PlanCache* plan_cache = nullptr,
-                          bool vectorized = true,
                           CancelToken* cancel = nullptr,
                           int64_t deadline_ms = 0,
                           uint64_t memory_limit_bytes = 0,

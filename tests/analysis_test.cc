@@ -792,7 +792,7 @@ TEST(AnalysisTest, TpcwFullMaskDifferential) {
     auto masked = workload::RunQuery(
         db->db.get(), db->default_color(), q.mct, /*collect_values=*/true,
         1, 1024, nullptr, nullptr, AnalyzeMode::kOff, nullptr, false,
-        nullptr, true, nullptr, 0, 0, full);
+        nullptr, nullptr, 0, 0, full);
     ASSERT_TRUE(masked.ok()) << q.id << ": " << masked.status().ToString();
     EXPECT_EQ(base->result_count, masked->result_count) << q.id;
     EXPECT_EQ(base->values, masked->values) << q.id;
@@ -817,7 +817,7 @@ TEST(AnalysisTest, SigmodFullMaskDifferential) {
     auto masked = workload::RunQuery(
         db->db.get(), db->default_color(), q.mct, /*collect_values=*/true,
         1, 1024, nullptr, nullptr, AnalyzeMode::kOff, nullptr, false,
-        nullptr, true, nullptr, 0, 0, full);
+        nullptr, nullptr, 0, 0, full);
     ASSERT_TRUE(masked.ok()) << q.id << ": " << masked.status().ToString();
     EXPECT_EQ(base->result_count, masked->result_count) << q.id;
     EXPECT_EQ(base->values, masked->values) << q.id;

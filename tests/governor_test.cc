@@ -187,7 +187,7 @@ TEST(GovernedEvalTest, PreCancelledQueryFailsWithNoWork) {
                     /*collect_values=*/false, /*num_threads=*/1,
                     /*morsel_size=*/1024, nullptr, nullptr,
                     mcx::AnalyzeMode::kOff, nullptr, /*planner=*/false,
-                    nullptr, /*vectorized=*/true, &token);
+                    nullptr, &token);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsCancelled()) << r.status();
 }
@@ -203,7 +203,7 @@ TEST(GovernedEvalTest, MidFlightCancelKillsExplosiveQuery) {
                     /*collect_values=*/false, /*num_threads=*/1,
                     /*morsel_size=*/1024, nullptr, nullptr,
                     mcx::AnalyzeMode::kOff, nullptr, /*planner=*/false,
-                    nullptr, /*vectorized=*/true, &token);
+                    nullptr, &token);
   canceller.join();
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsCancelled()) << r.status();
@@ -215,8 +215,7 @@ TEST(GovernedEvalTest, DeadlineKillsExplosiveQuery) {
                     /*collect_values=*/false, /*num_threads=*/1,
                     /*morsel_size=*/1024, nullptr, nullptr,
                     mcx::AnalyzeMode::kOff, nullptr, /*planner=*/false,
-                    nullptr, /*vectorized=*/true, nullptr,
-                    /*deadline_ms=*/100);
+                    nullptr, nullptr, /*deadline_ms=*/100);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsDeadlineExceeded()) << r.status();
 }
@@ -227,16 +226,16 @@ TEST(GovernedEvalTest, MemoryBudgetKillsExplosiveQuery) {
                     /*collect_values=*/false, /*num_threads=*/1,
                     /*morsel_size=*/1024, nullptr, nullptr,
                     mcx::AnalyzeMode::kOff, nullptr, /*planner=*/false,
-                    nullptr, /*vectorized=*/true, nullptr,
-                    /*deadline_ms=*/0, /*memory_limit_bytes=*/1 << 20);
+                    nullptr, nullptr, /*deadline_ms=*/0,
+                    /*memory_limit_bytes=*/1 << 20);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status();
 }
 
 TEST(GovernedEvalTest, UntrippedGovernedRunMatchesUngoverned) {
   // The governed code paths (chunked serial loops, per-morsel checks,
-  // budget charges) must not change any answer. Exercise serial, parallel
-  // and row-at-a-time execution with a generous deadline and budget.
+  // budget charges) must not change any answer. Exercise serial and
+  // parallel execution with a generous deadline and budget.
   const char* queries[] = {
       kCountTicks,
       "for $g in document(\"d\")/{red}descendant::movie-genre"
@@ -244,22 +243,20 @@ TEST(GovernedEvalTest, UntrippedGovernedRunMatchesUngoverned) {
       "for $a in document(\"d\")/{red}descendant::movie, "
       "$b in document(\"d\")/{blue}descendant::actor return $b",
   };
-  for (bool vectorized : {true, false}) {
-    for (int threads : {1, 2}) {
-      for (const char* q : queries) {
-        MovieDb f = BuildMovieDbWithTicks(50);
-        CancelToken token;  // never raised
-        auto plain = RunQuery(f.db.get(), f.red, q, true, threads, 16);
-        ASSERT_TRUE(plain.ok()) << plain.status();
-        auto governed = RunQuery(f.db.get(), f.red, q, true, threads, 16,
-                                 nullptr, nullptr, mcx::AnalyzeMode::kOff,
-                                 nullptr, false, nullptr, vectorized, &token,
-                                 /*deadline_ms=*/60000,
-                                 /*memory_limit_bytes=*/256u << 20);
-        ASSERT_TRUE(governed.ok()) << governed.status();
-        EXPECT_EQ(governed->result_count, plain->result_count) << q;
-        EXPECT_EQ(governed->values, plain->values) << q;
-      }
+  for (int threads : {1, 2}) {
+    for (const char* q : queries) {
+      MovieDb f = BuildMovieDbWithTicks(50);
+      CancelToken token;  // never raised
+      auto plain = RunQuery(f.db.get(), f.red, q, true, threads, 16);
+      ASSERT_TRUE(plain.ok()) << plain.status();
+      auto governed = RunQuery(f.db.get(), f.red, q, true, threads, 16,
+                               nullptr, nullptr, mcx::AnalyzeMode::kOff,
+                               nullptr, false, nullptr, &token,
+                               /*deadline_ms=*/60000,
+                               /*memory_limit_bytes=*/256u << 20);
+      ASSERT_TRUE(governed.ok()) << governed.status();
+      EXPECT_EQ(governed->result_count, plain->result_count) << q;
+      EXPECT_EQ(governed->values, plain->values) << q;
     }
   }
 }
@@ -289,7 +286,7 @@ TEST(GovernedEvalTest, CancelledUpdateHasNoSideEffectsAndNoWalRecord) {
   token.RequestCancel();
   auto killed = RunQuery(f.db.get(), f.red, update, false, 1, 1024, nullptr,
                          wal->get(), mcx::AnalyzeMode::kOff, nullptr, false,
-                         nullptr, true, &token);
+                         nullptr, &token);
   ASSERT_FALSE(killed.ok());
   EXPECT_TRUE(killed.status().IsCancelled()) << killed.status();
   EXPECT_EQ(count(), ticks0) << "cancelled update must leave no side effects";
@@ -300,7 +297,7 @@ TEST(GovernedEvalTest, CancelledUpdateHasNoSideEffectsAndNoWalRecord) {
   token.Clear();
   auto applied = RunQuery(f.db.get(), f.red, update, false, 1, 1024, nullptr,
                           wal->get(), mcx::AnalyzeMode::kOff, nullptr, false,
-                          nullptr, true, &token);
+                          nullptr, &token);
   ASSERT_TRUE(applied.ok()) << applied.status();
   EXPECT_EQ(count(), ticks0 + 1);
   EXPECT_GT((*wal)->next_lsn(), lsn0);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "mcx/evaluator.h"
 #include "mcx/parser.h"
@@ -39,14 +40,68 @@ TEST(EvalTest, SimplePathQuery) {
             (std::set<NodeId>{f.movie_eve, f.movie_lights, f.movie_sunset}));
 }
 
+std::vector<NodeId> Nodes(const QueryResult& r) {
+  std::vector<NodeId> out;
+  for (const Item& i : r.items) out.push_back(i.node);
+  return out;
+}
+
 TEST(EvalTest, PredicateOnChildContent) {
   MovieDb f = BuildMovieDb();
+  ASSERT_TRUE(f.db->SetAttr(f.movie_eve, "year", "1950").ok());
+  ASSERT_TRUE(f.db->SetAttr(f.movie_lights, "year", "1931").ok());
   Evaluator ev(f.db.get(), EvalOptions{});
   QueryResult r = MustRun(
       ev,
       "for $g in document(\"mdb.xml\")/{red}descendant::movie-genre"
       "[{red}child::name = \"Comedy\"] return $g");
   EXPECT_EQ(NodeSet(r), (std::set<NodeId>{f.genre_comedy}));
+
+  // [path op literal] over one child or attribute step runs on the
+  // evaluator's comparison fast path (the selective-tag semi-join when the
+  // tag is rare, else a per-row child walk). The mirrored [literal op'
+  // path] runs on the interpreter and must select the same rows in the
+  // same order: every operator, numeric and string literals, a movie with
+  // no year attribute (Sunset) and one outside the predicate's color (City
+  // Lights is not green).
+  const char* ops[] = {"=", "!=", "<", "<=", ">", ">="};
+  const char* converse[] = {"=", "!=", ">", ">=", "<", "<="};
+  struct Case {
+    const char* context;
+    const char* path;
+    std::vector<const char*> literals;
+  };
+  const Case cases[] = {
+      {"{red}descendant::movie", "{green}child::votes",
+       {"8", "\"10\"", "\"9x\""}},
+      {"{red}descendant::movie", "@year", {"1950", "\"1931\"", "\"194\""}},
+      {"{red}descendant::movie-genre", "{red}child::name",
+       {"\"Comedy\"", "\"D\""}},
+      // One context row against nine red names: the per-row walk.
+      {"{red}child::movie-genre", "{red}child::name", {"\"All\"", "\"B\""}},
+  };
+  for (const Case& c : cases) {
+    for (const char* lit : c.literals) {
+      for (size_t k = 0; k < 6; ++k) {
+        const std::string head =
+            std::string("for $x in document(\"d\")/") + c.context + "[";
+        const std::string fast =
+            head + c.path + " " + ops[k] + " " + lit + "] return $x";
+        const std::string mirrored =
+            head + lit + " " + converse[k] + " " + c.path + "] return $x";
+        EXPECT_EQ(Nodes(MustRun(ev, fast)), Nodes(MustRun(ev, mirrored)))
+            << fast << "\n" << mirrored;
+      }
+    }
+  }
+  EXPECT_EQ(Nodes(MustRun(ev,
+                          "for $x in document(\"d\")/{red}descendant::movie"
+                          "[{green}child::votes < 10] return $x")),
+            (std::vector<NodeId>{f.movie_sunset}));
+  EXPECT_EQ(Nodes(MustRun(ev,
+                          "for $x in document(\"d\")/{red}descendant::movie"
+                          "[@year != \"1931\"] return $x")),
+            (std::vector<NodeId>{f.movie_eve}));
 }
 
 // ---- Figure 3, Q1: comedy movies whose title contains "Eve". ----

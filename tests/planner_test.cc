@@ -19,6 +19,7 @@
 #include "common/metrics.h"
 #include "mcx/evaluator.h"
 #include "mcx/parser.h"
+#include "mcx/printer.h"
 #include "query/ops.h"
 #include "query/planner.h"
 #include "query/trace.h"
@@ -37,18 +38,14 @@ Result<mcx::QueryResult> RunWith(MctDatabase* db, ColorId default_color,
                                  const std::string& text, bool planner,
                                  int threads,
                                  query::PlanCache* cache = nullptr,
-                                 std::vector<std::string>* plan_notes = nullptr,
                                  query::QueryTrace* trace = nullptr,
-                                 bool vectorized = true,
                                  query::ExecStats* stats = nullptr) {
   mcx::EvalOptions o;
   o.default_color = default_color;
   o.num_threads = threads;
   o.planner = planner;
   o.plan_cache = cache;
-  o.plan = plan_notes;
   o.trace = trace;
-  o.vectorized = vectorized;
   o.stats = stats;
   mcx::Evaluator ev(db, o);
   return ev.Run(text);
@@ -89,6 +86,95 @@ std::vector<Dialect> DialectsOf(const CatalogQuery& q, DbT* mct_db,
                    deep_db->default_color()});
   }
   return out;
+}
+
+// ---- Mirrored comparisons: the evaluator answers a step predicate
+// ---- [path op literal] over one child or attribute step on a fast
+// ---- comparison path; the mirrored form [literal op' path] takes neither
+// ---- that path nor the index probe, so the interpreter answers it. Both
+// ---- must select the same rows.
+
+// Converse of a comparison: `a op b` holds iff `b Converse(op) a`.
+mcx::CmpOp Converse(mcx::CmpOp op) {
+  switch (op) {
+    case mcx::CmpOp::kLt: return mcx::CmpOp::kGt;
+    case mcx::CmpOp::kLe: return mcx::CmpOp::kGe;
+    case mcx::CmpOp::kGt: return mcx::CmpOp::kLt;
+    case mcx::CmpOp::kGe: return mcx::CmpOp::kLe;
+    default: return op;  // = and != are symmetric
+  }
+}
+
+int MirrorComparisons(mcx::Expr* e);
+
+// Rewrites every step predicate [path op literal] of `p`, and of the
+// expressions nested in its predicates, into [literal op' path]. Returns
+// the number of predicates rewritten.
+int MirrorComparisons(mcx::PathExpr* p) {
+  int n = 0;
+  for (mcx::PathStep& step : p->steps) {
+    for (mcx::ExprPtr& pred : step.predicates) {
+      if (pred->kind == mcx::Expr::Kind::kCompare &&
+          pred->children[0]->kind == mcx::Expr::Kind::kPath &&
+          (pred->children[1]->kind == mcx::Expr::Kind::kString ||
+           pred->children[1]->kind == mcx::Expr::Kind::kNumber)) {
+        std::swap(pred->children[0], pred->children[1]);
+        pred->cmp = Converse(pred->cmp);
+        ++n;
+      }
+      n += MirrorComparisons(pred.get());
+    }
+  }
+  return n;
+}
+
+int MirrorComparisons(mcx::Expr* e) {
+  if (e == nullptr) return 0;
+  int n = MirrorComparisons(&e->path);
+  for (mcx::ExprPtr& c : e->children) n += MirrorComparisons(c.get());
+  for (mcx::Binding& b : e->bindings) n += MirrorComparisons(b.expr.get());
+  n += MirrorComparisons(e->where.get());
+  n += MirrorComparisons(e->order_by.get());
+  n += MirrorComparisons(e->ret.get());
+  return n;
+}
+
+// Runs every read statement with a mirrorable predicate, in every dialect,
+// planner off and on, serial and 8 threads, next to its mirrored print.
+// Returns the number of (statement, dialect) pairs that had one.
+template <typename DbT>
+int MirroredCatalogDifferential(const std::vector<CatalogQuery>& queries,
+                                DbT* mct_db, DbT* shallow_db, DbT* deep_db) {
+  int pairs = 0;
+  for (const CatalogQuery& q : queries) {
+    if (q.is_update) continue;
+    for (const Dialect& d : DialectsOf(q, mct_db, shallow_db, deep_db)) {
+      if (d.text->empty()) continue;
+      auto parsed = mcx::Parse(*d.text);
+      EXPECT_TRUE(parsed.ok()) << q.id << "/" << d.name;
+      if (!parsed.ok() || MirrorComparisons(parsed->root.get()) == 0) {
+        continue;
+      }
+      ++pairs;
+      const std::string mirrored = mcx::Print(*parsed);
+      for (int threads : kThreadCounts) {
+        for (bool planner : {false, true}) {
+          std::string label = q.id + "/" + d.name + "/t" +
+                              std::to_string(threads) +
+                              (planner ? "/planned" : "/base");
+          auto orig = RunWith(d.db, d.color, *d.text, planner, threads);
+          auto mirr = RunWith(d.db, d.color, mirrored, planner, threads);
+          EXPECT_TRUE(orig.ok()) << label << ": " << orig.status();
+          EXPECT_TRUE(mirr.ok()) << label << ": " << mirr.status() << "\n"
+                                 << mirrored;
+          if (orig.ok() && mirr.ok()) {
+            ExpectIdenticalItems(*orig, *mirr, label + "\n" + mirrored);
+          }
+        }
+      }
+    }
+  }
+  return pairs;
 }
 
 // ---- Differential suite: every catalog read statement, planner on vs
@@ -141,31 +227,10 @@ TEST_F(TpcwPlannerDifferential, AllReadStatementsMatchBaseline) {
   }
 }
 
-// Vectorized differential: batch execution must be byte-identical to the
-// retained row-at-a-time paths (the pre-columnar layout's cost profile) for
-// every read statement, every dialect, serial and parallel, planner on/off.
-TEST_F(TpcwPlannerDifferential, VectorizedMatchesRowAtATime) {
-  for (const CatalogQuery& q : TpcwCatalog(*data_)) {
-    if (q.is_update) continue;
-    for (const Dialect& d : DialectsOf(q, mct_, shallow_, deep_)) {
-      for (int threads : kThreadCounts) {
-        for (bool planner : {false, true}) {
-          std::string label = q.id + "/" + d.name + "/t" +
-                              std::to_string(threads) +
-                              (planner ? "/planned" : "/base");
-          auto rows = RunWith(d.db, d.color, *d.text, planner, threads,
-                              nullptr, nullptr, nullptr,
-                              /*vectorized=*/false);
-          auto batch = RunWith(d.db, d.color, *d.text, planner, threads,
-                               nullptr, nullptr, nullptr,
-                               /*vectorized=*/true);
-          ASSERT_TRUE(rows.ok()) << label << ": " << rows.status();
-          ASSERT_TRUE(batch.ok()) << label << ": " << batch.status();
-          ExpectIdenticalItems(*rows, *batch, label);
-        }
-      }
-    }
-  }
+TEST_F(TpcwPlannerDifferential, MirroredComparisonsMatch) {
+  EXPECT_GT(MirroredCatalogDifferential(TpcwCatalog(*data_), mct_, shallow_,
+                                        deep_),
+            0);
 }
 
 TEST_F(TpcwPlannerDifferential, CachedRunsMatchBaseline) {
@@ -235,28 +300,10 @@ TEST_F(SigmodPlannerDifferential, AllReadStatementsMatchBaseline) {
   }
 }
 
-TEST_F(SigmodPlannerDifferential, VectorizedMatchesRowAtATime) {
-  for (const CatalogQuery& q : SigmodCatalog(*data_)) {
-    if (q.is_update) continue;
-    for (const Dialect& d : DialectsOf(q, mct_, shallow_, deep_)) {
-      for (int threads : kThreadCounts) {
-        for (bool planner : {false, true}) {
-          std::string label = q.id + "/" + d.name + "/t" +
-                              std::to_string(threads) +
-                              (planner ? "/planned" : "/base");
-          auto rows = RunWith(d.db, d.color, *d.text, planner, threads,
-                              nullptr, nullptr, nullptr,
-                              /*vectorized=*/false);
-          auto batch = RunWith(d.db, d.color, *d.text, planner, threads,
-                               nullptr, nullptr, nullptr,
-                               /*vectorized=*/true);
-          ASSERT_TRUE(rows.ok()) << label << ": " << rows.status();
-          ASSERT_TRUE(batch.ok()) << label << ": " << batch.status();
-          ExpectIdenticalItems(*rows, *batch, label);
-        }
-      }
-    }
-  }
+TEST_F(SigmodPlannerDifferential, MirroredComparisonsMatch) {
+  EXPECT_GT(MirroredCatalogDifferential(SigmodCatalog(*data_), mct_,
+                                        shallow_, deep_),
+            0);
 }
 
 // ---- Sharded differential: every read statement, every dialect, shard
@@ -293,10 +340,9 @@ void ShardedCatalogDifferential(const std::vector<CatalogQuery>& queries,
                                 (planner ? "/planned" : "/base");
             query::ExecStats oracle_stats, shard_stats;
             auto oracle = RunWith(d.db, d.color, *d.text, planner, threads,
-                                  nullptr, nullptr, nullptr, true,
-                                  &oracle_stats);
+                                  nullptr, nullptr, &oracle_stats);
             auto got = RunWith(sdb, d.color, *d.text, planner, threads,
-                               nullptr, nullptr, nullptr, true, &shard_stats);
+                               nullptr, nullptr, &shard_stats);
             ASSERT_TRUE(oracle.ok()) << label << ": " << oracle.status();
             ASSERT_TRUE(got.ok()) << label << ": " << got.status();
             ExpectIdenticalItems(*oracle, *got, label);
@@ -580,40 +626,31 @@ TEST(PlannerSpineTest, SpineExecutionMatchesBaseline) {
   }
   const std::string q =
       "for $b in document(\"d\")/{red}descendant::a/{red}descendant::b return $b";
-  std::vector<std::string> notes;
-  auto planned = RunWith(db.get(), red, q, true, 1, nullptr, &notes);
+  query::QueryTrace trace;
+  auto planned = RunWith(db.get(), red, q, true, 1, nullptr, &trace);
   auto base = RunWith(db.get(), red, q, false, 1);
   ASSERT_TRUE(base.ok()) << base.status();
   ASSERT_TRUE(planned.ok()) << planned.status();
   ASSERT_EQ(base->items.size(), 5u);
   ExpectIdenticalItems(*base, *planned, "spine");
-  bool spine_used = false;
-  for (const std::string& n : notes) {
-    if (n.find("PATH-STACK SPINE") != std::string::npos) spine_used = true;
-  }
-  EXPECT_TRUE(spine_used) << "plan notes:\n" + [&] {
-    std::string all;
-    for (const auto& n : notes) all += n + "\n";
-    return all;
-  }();
+  const std::string text = trace.ToText();
+  EXPECT_NE(text.find("SPINE ORDER RESTORE"), std::string::npos) << text;
 }
 
 // ---- EXPLAIN PLAN surfacing.
 
 TEST(ExplainPlanTest, NotesAndTraceCarryEstimates) {
   testfix::MovieDb m = testfix::BuildMovieDb();
-  std::vector<std::string> notes;
   query::QueryTrace trace;
   const std::string q =
       "for $m in document(\"d\")/{red}descendant::movie[{red}child::name = \"All About Eve\"] "
       "return $m";
-  auto r = RunWith(m.db.get(), m.red, q, true, 1, nullptr, &notes, &trace);
+  auto r = RunWith(m.db.get(), m.red, q, true, 1, nullptr, &trace);
   ASSERT_TRUE(r.ok()) << r.status();
-  ASSERT_FALSE(notes.empty());
-  EXPECT_NE(notes[0].find("EXPLAIN PLAN"), std::string::npos);
-  EXPECT_NE(notes[0].find("cost"), std::string::npos);
   std::string text = trace.ToText();
+  // The PLAN leaf carries the baseline and chosen costs.
   EXPECT_NE(text.find("PLAN"), std::string::npos) << text;
+  EXPECT_NE(text.find("baseline ->"), std::string::npos) << text;
   // Estimated-vs-actual: the planned step carries an est~ annotation.
   EXPECT_NE(text.find("est~"), std::string::npos) << text;
   std::string json = trace.ToJson();

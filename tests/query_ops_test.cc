@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
 
 #include "common/rng.h"
@@ -18,13 +19,6 @@ namespace {
 
 using testfix::BuildMovieDb;
 using testfix::MovieDb;
-
-std::multiset<NodeId> ColumnBag(const Table& t, const std::string& var) {
-  int c = t.ColumnOf(var);
-  EXPECT_GE(c, 0);
-  auto col = t.Column(c);
-  return std::multiset<NodeId>(col.begin(), col.end());
-}
 
 TEST(TableTest, FromNodesAndColumn) {
   Table t = Table::FromNodes("$x", {3, 1, 4});
@@ -67,19 +61,57 @@ TEST(ScanTest, TagScanTable) {
   EXPECT_EQ(stats.rows_scanned, 3u);
 }
 
+// The `name` child a fixture node got on creation (its first red child).
+NodeId NameOf(const MovieDb& f, NodeId n) {
+  return f.db->Children(n, f.red)[0];
+}
+
+// `t` restricted to the rows whose column-0 node passes `keep`, held as a
+// selection vector over the untouched columns (FilterRows on an rvalue
+// copies no cells), so an operator fed this table must read through `sel`.
+Table Selected(const Table& t, const std::function<bool(NodeId)>& keep) {
+  Table out = FilterRows(
+      Table(t), [&](size_t r) { return keep(t.At(r, 0)); }, nullptr);
+  EXPECT_TRUE(out.use_sel);
+  return out;
+}
+
+using Rows = std::vector<std::vector<NodeId>>;
+
+// Red document order: City Lights (under Slapstick, inside Comedy) comes
+// before All About Eve (a later child of Comedy), then Sunset Boulevard.
+
 TEST(ExpandTest, ChildrenStep) {
   MovieDb f = BuildMovieDb();
   ExecStats stats;
   Table movies = TagScanTable(f.db.get(), f.red, "$m", "movie", &stats);
+  ASSERT_EQ(movies.Column(0),
+            (std::vector<NodeId>{f.movie_lights, f.movie_eve,
+                                 f.movie_sunset}));
   Table names =
       ExpandChildren(f.db.get(), movies, 0, f.red, "name", "$n", &stats);
-  EXPECT_EQ(names.num_rows(), 3u);  // every movie has one red name
-  EXPECT_EQ(names.num_cols(), 2u);
-  EXPECT_EQ(stats.structural_joins, 1u);
-  // Wildcard tag matches all element children.
+  EXPECT_EQ(names.vars, (std::vector<std::string>{"$m", "$n"}));
+  EXPECT_EQ(names.ToRows(),
+            (Rows{{f.movie_lights, NameOf(f, f.movie_lights)},
+                  {f.movie_eve, NameOf(f, f.movie_eve)},
+                  {f.movie_sunset, NameOf(f, f.movie_sunset)}}));
+  EXPECT_EQ(stats, (ExecStats{.structural_joins = 1, .rows_scanned = 3}));
+  // Wildcard tag matches all element children, in child order.
   Table all = ExpandChildren(f.db.get(), movies, 0, f.red, "", "$c", &stats);
-  // Eve: name+role, Lights: name+role, Sunset: name -> 5 rows.
-  EXPECT_EQ(all.num_rows(), 5u);
+  EXPECT_EQ(all.ToRows(),
+            (Rows{{f.movie_lights, NameOf(f, f.movie_lights)},
+                  {f.movie_lights, f.role_tramp},
+                  {f.movie_eve, NameOf(f, f.movie_eve)},
+                  {f.movie_eve, f.role_margo},
+                  {f.movie_sunset, NameOf(f, f.movie_sunset)}}));
+  // Selected input: the base column is gathered through the selection.
+  Table sel = Selected(movies, [&](NodeId m) { return m != f.movie_lights; });
+  EXPECT_EQ(
+      ExpandChildren(f.db.get(), sel, 0, f.red, "", "$c", &stats).ToRows(),
+      (Rows{{f.movie_eve, NameOf(f, f.movie_eve)},
+            {f.movie_eve, f.role_margo},
+            {f.movie_sunset, NameOf(f, f.movie_sunset)}}));
+  EXPECT_EQ(stats, (ExecStats{.structural_joins = 3, .rows_scanned = 3}));
 }
 
 TEST(ExpandTest, DescendantsStep) {
@@ -91,21 +123,75 @@ TEST(ExpandTest, DescendantsStep) {
       &stats);
   Table movies =
       ExpandDescendants(f.db.get(), sub, 0, f.red, "movie", "$m", &stats);
-  // Comedy subtree holds Eve and (via Slapstick) City Lights.
-  auto bag = ColumnBag(movies, "$m");
-  EXPECT_EQ(bag.size(), 2u);
-  EXPECT_TRUE(bag.contains(f.movie_eve));
-  EXPECT_TRUE(bag.contains(f.movie_lights));
+  // Comedy subtree holds (via Slapstick) City Lights and Eve, in that
+  // document order.
+  const Rows expect{{f.genre_comedy, f.movie_lights},
+                    {f.genre_comedy, f.movie_eve}};
+  EXPECT_EQ(movies.ToRows(), expect);
+  // The descendant scan reads all 3 movies on top of the 4 genres.
+  EXPECT_EQ(stats, (ExecStats{.structural_joins = 1, .rows_scanned = 7}));
+  Table sel = Selected(genres, [&](NodeId g) { return g == f.genre_comedy; });
+  EXPECT_EQ(
+      ExpandDescendants(f.db.get(), sel, 0, f.red, "movie", "$m", &stats)
+          .ToRows(),
+      expect);
+  EXPECT_EQ(stats, (ExecStats{.structural_joins = 2, .rows_scanned = 10}));
 }
 
 TEST(ExpandTest, DescendantsFromAllGenresProducesPerAncestorRows) {
   MovieDb f = BuildMovieDb();
   ExecStats stats;
   Table genres = TagScanTable(f.db.get(), f.red, "$g", "movie-genre", &stats);
+  ASSERT_EQ(genres.Column(0),
+            (std::vector<NodeId>{f.genre_root, f.genre_comedy,
+                                 f.genre_slapstick, f.genre_drama}));
   Table movies =
       ExpandDescendants(f.db.get(), genres, 0, f.red, "movie", "$m", &stats);
-  // All(3 movies) + Comedy(2) + Slapstick(1) + Drama(1) = 7 rows.
-  EXPECT_EQ(movies.num_rows(), 7u);
+  // All(3 movies) + Comedy(2) + Slapstick(1) + Drama(1) = 7 rows, in
+  // descendant order, outermost ancestor first.
+  const Rows expect{{f.genre_root, f.movie_lights},
+                    {f.genre_comedy, f.movie_lights},
+                    {f.genre_slapstick, f.movie_lights},
+                    {f.genre_root, f.movie_eve},
+                    {f.genre_comedy, f.movie_eve},
+                    {f.genre_root, f.movie_sunset},
+                    {f.genre_drama, f.movie_sunset}};
+  EXPECT_EQ(movies.ToRows(), expect);
+  EXPECT_EQ(stats, (ExecStats{.structural_joins = 1, .rows_scanned = 7}));
+  // The planner's alternative access methods emit the same sequence, from
+  // a selected input too (Drama dropped).
+  const std::vector<NodeId> all_movies{f.movie_sunset, f.movie_eve,
+                                       f.movie_lights};
+  EXPECT_EQ(ExpandDescendantsNav(f.db.get(), genres, 0, f.red, "movie", "$m",
+                                 nullptr)
+                .ToRows(),
+            expect);
+  EXPECT_EQ(ExpandDescendantsAmong(f.db.get(), genres, 0, f.red, "movie",
+                                   all_movies, "$m", nullptr)
+                .ToRows(),
+            expect);
+  Table sel = Selected(genres, [&](NodeId g) { return g != f.genre_drama; });
+  const Rows expect_sel(expect.begin(), expect.end() - 1);
+  EXPECT_EQ(
+      ExpandDescendants(f.db.get(), sel, 0, f.red, "movie", "$m", nullptr)
+          .ToRows(),
+      expect_sel);
+  EXPECT_EQ(ExpandDescendantsNav(f.db.get(), sel, 0, f.red, "movie", "$m",
+                                 nullptr)
+                .ToRows(),
+            expect_sel);
+  EXPECT_EQ(ExpandDescendantsAmong(f.db.get(), sel, 0, f.red, "movie",
+                                   all_movies, "$m", nullptr)
+                .ToRows(),
+            expect_sel);
+  // From the lone document row, the scan shortcut emits every movie.
+  Table doc = Table::FromNodes("$d", {f.db->document()});
+  EXPECT_EQ(ExpandDescendantsRoot(f.db.get(), doc, 0, f.red, "movie", "$m",
+                                  nullptr)
+                .ToRows(),
+            (Rows{{f.db->document(), f.movie_lights},
+                  {f.db->document(), f.movie_eve},
+                  {f.db->document(), f.movie_sunset}}));
 }
 
 TEST(ExpandTest, ParentStep) {
@@ -114,14 +200,17 @@ TEST(ExpandTest, ParentStep) {
   Table roles = TagScanTable(f.db.get(), f.blue, "$r", "movie-role", &stats);
   Table actors =
       ExpandParent(f.db.get(), roles, 0, f.blue, "actor", "$a", &stats);
-  auto bag = ColumnBag(actors, "$a");
-  EXPECT_EQ(bag.size(), 2u);
-  EXPECT_TRUE(bag.contains(f.actor_davis));
-  EXPECT_TRUE(bag.contains(f.actor_chaplin));
+  EXPECT_EQ(actors.ToRows(), (Rows{{f.role_margo, f.actor_davis},
+                                   {f.role_tramp, f.actor_chaplin}}));
   // Parent with wrong tag drops rows.
   Table none =
       ExpandParent(f.db.get(), roles, 0, f.blue, "movie", "$x", &stats);
   EXPECT_EQ(none.num_rows(), 0u);
+  Table sel = Selected(roles, [&](NodeId r) { return r == f.role_tramp; });
+  EXPECT_EQ(
+      ExpandParent(f.db.get(), sel, 0, f.blue, "actor", "$a", &stats).ToRows(),
+      (Rows{{f.role_tramp, f.actor_chaplin}}));
+  EXPECT_EQ(stats, (ExecStats{.structural_joins = 3, .rows_scanned = 2}));
 }
 
 TEST(ExpandTest, AncestorsStep) {
@@ -130,8 +219,18 @@ TEST(ExpandTest, AncestorsStep) {
   Table t = Table::FromNodes("$m", {f.movie_lights});
   Table ancs =
       ExpandAncestors(f.db.get(), t, 0, f.red, "movie-genre", "$g", &stats);
-  // Slapstick, Comedy, All.
-  EXPECT_EQ(ancs.num_rows(), 3u);
+  // Slapstick, Comedy, All: nearest first.
+  const Rows expect{{f.movie_lights, f.genre_slapstick},
+                    {f.movie_lights, f.genre_comedy},
+                    {f.movie_lights, f.genre_root}};
+  EXPECT_EQ(ancs.ToRows(), expect);
+  Table sel = Selected(Table::FromNodes("$m", {f.movie_eve, f.movie_lights}),
+                       [&](NodeId m) { return m == f.movie_lights; });
+  EXPECT_EQ(ExpandAncestors(f.db.get(), sel, 0, f.red, "movie-genre", "$g",
+                            &stats)
+                .ToRows(),
+            expect);
+  EXPECT_EQ(stats, (ExecStats{.structural_joins = 2}));
 }
 
 TEST(CrossTreeTest, ColorTransitionKeepsIdentity) {
@@ -141,11 +240,18 @@ TEST(CrossTreeTest, ColorTransitionKeepsIdentity) {
   EXPECT_EQ(red_movies.num_rows(), 3u);
   Table green_too = CrossTreeJoin(f.db.get(), red_movies, 0, f.green, &stats);
   // Only Eve and Sunset are Oscar-nominated (red+green).
-  auto bag = ColumnBag(green_too, "$m");
-  EXPECT_EQ(bag.size(), 2u);
-  EXPECT_TRUE(bag.contains(f.movie_eve));
-  EXPECT_TRUE(bag.contains(f.movie_sunset));
-  EXPECT_EQ(stats.cross_tree_joins, 1u);
+  const Rows expect{{f.movie_eve}, {f.movie_sunset}};
+  EXPECT_EQ(green_too.ToRows(), expect);
+  EXPECT_EQ(stats, (ExecStats{.cross_tree_joins = 1, .rows_scanned = 3}));
+  // A selected input, through both the gathering and the moving overload.
+  Table sel =
+      Selected(red_movies, [&](NodeId m) { return m != f.movie_lights; });
+  EXPECT_EQ(CrossTreeJoin(f.db.get(), sel, 0, f.green, &stats).ToRows(),
+            expect);
+  EXPECT_EQ(
+      CrossTreeJoin(f.db.get(), Table(sel), 0, f.green, &stats).ToRows(),
+      expect);
+  EXPECT_EQ(stats, (ExecStats{.cross_tree_joins = 3, .rows_scanned = 3}));
 }
 
 TEST(SemiJoinTest, FiltersByContainment) {
@@ -154,12 +260,16 @@ TEST(SemiJoinTest, FiltersByContainment) {
   Table movies = TagScanTable(f.db.get(), f.red, "$m", "movie", &stats);
   Table under_comedy = StructuralSemiJoin(f.db.get(), movies, 0, f.red,
                                           {f.genre_comedy}, &stats);
-  auto bag = ColumnBag(under_comedy, "$m");
-  EXPECT_EQ(bag.size(), 2u);
-  EXPECT_FALSE(bag.contains(f.movie_sunset));
+  EXPECT_EQ(under_comedy.ToRows(), (Rows{{f.movie_lights}, {f.movie_eve}}));
   // Empty ancestor set -> empty result.
   Table none = StructuralSemiJoin(f.db.get(), movies, 0, f.red, {}, &stats);
   EXPECT_EQ(none.num_rows(), 0u);
+  Table sel = Selected(movies, [&](NodeId m) { return m != f.movie_lights; });
+  EXPECT_EQ(StructuralSemiJoin(f.db.get(), sel, 0, f.red,
+                               {f.genre_comedy, f.genre_drama}, &stats)
+                .ToRows(),
+            (Rows{{f.movie_eve}, {f.movie_sunset}}));
+  EXPECT_EQ(stats, (ExecStats{.structural_joins = 3, .rows_scanned = 3}));
 }
 
 TEST(ValueJoinTest, HashJoinOnChildContent) {
@@ -171,13 +281,26 @@ TEST(ValueJoinTest, HashJoinOnChildContent) {
   Table red_roles = TagScanTable(f.db.get(), f.red, "$r1", "movie-role", &stats);
   Table blue_roles =
       TagScanTable(f.db.get(), f.blue, "$r2", "movie-role", &stats);
+  ASSERT_EQ(red_roles.Column(0),
+            (std::vector<NodeId>{f.role_tramp, f.role_margo}));
+  ASSERT_EQ(blue_roles.Column(0),
+            (std::vector<NodeId>{f.role_margo, f.role_tramp}));
   Table joined = HashValueJoin(
       f.db.get(), red_roles, 0, KeySpec::ChildContent(f.red, "name"),
       blue_roles, 0, KeySpec::ChildContent(f.blue, "name"), &stats);
-  // Each role matches itself (names are unique).
-  EXPECT_EQ(joined.num_rows(), 2u);
-  for (const auto& row : joined.ToRows()) EXPECT_EQ(row[0], row[1]);
-  EXPECT_EQ(stats.value_joins, 1u);
+  // Each role matches itself (names are unique), in probe (blue) order.
+  EXPECT_EQ(joined.vars, (std::vector<std::string>{"$r1", "$r2"}));
+  EXPECT_EQ(joined.ToRows(), (Rows{{f.role_margo, f.role_margo},
+                                   {f.role_tramp, f.role_tramp}}));
+  EXPECT_EQ(stats, (ExecStats{.value_joins = 1, .rows_scanned = 4}));
+  // Selected build side (the smaller, left input).
+  Table sel = Selected(red_roles, [&](NodeId r) { return r == f.role_margo; });
+  EXPECT_EQ(HashValueJoin(f.db.get(), sel, 0,
+                          KeySpec::ChildContent(f.red, "name"), blue_roles, 0,
+                          KeySpec::ChildContent(f.blue, "name"), &stats)
+                .ToRows(),
+            (Rows{{f.role_margo, f.role_margo}}));
+  EXPECT_EQ(stats, (ExecStats{.value_joins = 2, .rows_scanned = 4}));
 }
 
 TEST(ValueJoinTest, IdrefsJoin) {
@@ -193,15 +316,15 @@ TEST(ValueJoinTest, IdrefsJoin) {
   Table joined =
       IdrefsJoin(f.db.get(), movies, 0, KeySpec::Attr("actorIdRefs"), actors,
                  0, KeySpec::Attr("id"), &stats);
-  EXPECT_EQ(joined.num_rows(), 2u);
-  for (const auto& row : joined.ToRows()) {
-    if (row[0] == f.movie_eve) {
-      EXPECT_EQ(row[1], f.actor_davis);
-    }
-    if (row[0] == f.movie_lights) {
-      EXPECT_EQ(row[1], f.actor_chaplin);
-    }
-  }
+  EXPECT_EQ(joined.ToRows(), (Rows{{f.movie_lights, f.actor_chaplin},
+                                   {f.movie_eve, f.actor_davis}}));
+  EXPECT_EQ(stats, (ExecStats{.value_joins = 1, .rows_scanned = 5}));
+  Table sel = Selected(movies, [&](NodeId m) { return m != f.movie_lights; });
+  EXPECT_EQ(IdrefsJoin(f.db.get(), sel, 0, KeySpec::Attr("actorIdRefs"),
+                       actors, 0, KeySpec::Attr("id"), &stats)
+                .ToRows(),
+            (Rows{{f.movie_eve, f.actor_davis}}));
+  EXPECT_EQ(stats, (ExecStats{.value_joins = 2, .rows_scanned = 5}));
 }
 
 TEST(JoinTest, IdentityJoin) {
@@ -211,8 +334,15 @@ TEST(JoinTest, IdentityJoin) {
   Table green_movies = TagScanTable(f.db.get(), f.green, "$m2", "movie", &stats);
   Table joined =
       IdentityJoin(f.db.get(), red_movies, 0, green_movies, 0, &stats);
-  EXPECT_EQ(joined.num_rows(), 2u);  // Eve, Sunset
-  for (const auto& row : joined.ToRows()) EXPECT_EQ(row[0], row[1]);
+  const Rows expect{{f.movie_eve, f.movie_eve},
+                    {f.movie_sunset, f.movie_sunset}};
+  EXPECT_EQ(joined.ToRows(), expect);
+  EXPECT_EQ(stats, (ExecStats{.structural_joins = 1, .rows_scanned = 5}));
+  Table sel =
+      Selected(red_movies, [&](NodeId m) { return m != f.movie_lights; });
+  EXPECT_EQ(IdentityJoin(f.db.get(), sel, 0, green_movies, 0, &stats).ToRows(),
+            expect);
+  EXPECT_EQ(stats, (ExecStats{.structural_joins = 2, .rows_scanned = 5}));
 }
 
 TEST(JoinTest, NestedLoopInequality) {
@@ -221,30 +351,43 @@ TEST(JoinTest, NestedLoopInequality) {
   Table g = TagScanTable(f.db.get(), f.green, "$m1", "movie", &stats);
   Table g2 = TagScanTable(f.db.get(), f.green, "$m2", "movie", &stats);
   KeySpec votes = KeySpec::ChildContent(f.green, "votes");
-  Table joined = NestedLoopJoin(
-      f.db.get(), g, g2,
-      [&](size_t l, size_t r) {
-        auto lv = ExtractKey(*f.db, g.At(l, 0), votes);
-        auto rv = ExtractKey(*f.db, g2.At(r, 0), votes);
-        if (!lv || !rv) return false;
-        return *mct::ParseDouble(*lv) > *mct::ParseDouble(*rv);
-      },
-      &stats);
+  auto more_votes = [&](const Table& l, const Table& r) {
+    return [&](size_t li, size_t ri) {
+      auto lv = ExtractKey(*f.db, l.At(li, 0), votes);
+      auto rv = ExtractKey(*f.db, r.At(ri, 0), votes);
+      if (!lv || !rv) return false;
+      return *mct::ParseDouble(*lv) > *mct::ParseDouble(*rv);
+    };
+  };
+  Table joined = NestedLoopJoin(f.db.get(), g, g2, more_votes(g, g2), &stats);
   // Eve (14) > Sunset (8): exactly one pair.
   ASSERT_EQ(joined.num_rows(), 1u);
   EXPECT_EQ(joined.At(0, 0), f.movie_eve);
   EXPECT_EQ(joined.At(0, 1), f.movie_sunset);
   EXPECT_EQ(stats.nested_loop_joins, 1u);
+  // Selected right side.
+  Table sel = Selected(g2, [&](NodeId m) { return m == f.movie_sunset; });
+  EXPECT_EQ(
+      NestedLoopJoin(f.db.get(), g, sel, more_votes(g, sel), &stats).ToRows(),
+      (Rows{{f.movie_eve, f.movie_sunset}}));
 }
 
 TEST(DupElimTest, RemovesDuplicateProjections) {
   Table t = Table::FromRows({"$a", "$b"}, {{1, 2}, {1, 3}, {1, 2}, {2, 2}});
   ExecStats stats;
   Table d1 = DupElim(t, {0, 1}, &stats);
-  EXPECT_EQ(d1.num_rows(), 3u);
+  EXPECT_EQ(d1.ToRows(), (Rows{{1, 2}, {1, 3}, {2, 2}}));
   Table d2 = DupElim(t, {0}, &stats);
-  EXPECT_EQ(d2.num_rows(), 2u);
-  EXPECT_EQ(stats.dup_elims, 2u);
+  EXPECT_EQ(d2.ToRows(), (Rows{{1, 2}, {2, 2}}));
+  EXPECT_EQ(stats, (ExecStats{.dup_elims = 2}));
+  // The same logical rows behind a selection vector (row {9, 9} dropped).
+  Table sel = Selected(
+      Table::FromRows({"$a", "$b"}, {{9, 9}, {1, 2}, {1, 3}, {1, 2}, {2, 2}}),
+      [](NodeId a) { return a != 9; });
+  EXPECT_EQ(DupElim(sel, {0, 1}, &stats).ToRows(), d1.ToRows());
+  EXPECT_EQ(DupElim(sel, {0}, &stats).ToRows(), d2.ToRows());
+  EXPECT_EQ(DupElim(Table(sel), {0}, &stats).ToRows(), d2.ToRows());
+  EXPECT_EQ(stats, (ExecStats{.dup_elims = 5}));
 }
 
 TEST(ProjectTest, ReordersColumns) {
@@ -260,14 +403,22 @@ TEST(SortTest, NumericAndLexicographic) {
   Table movies = TagScanTable(f.db.get(), f.green, "$m", "movie", &stats);
   KeySpec votes = KeySpec::ChildContent(f.green, "votes");
   Table asc = SortRowsBy(*f.db, movies, 0, votes);
-  ASSERT_EQ(asc.num_rows(), 2u);
-  EXPECT_EQ(asc.At(0, 0), f.movie_sunset);  // 8 before 14 numerically
+  // 8 before 14 numerically.
+  EXPECT_EQ(asc.ToRows(), (Rows{{f.movie_sunset}, {f.movie_eve}}));
   Table desc = SortRowsBy(*f.db, movies, 0, votes, /*descending=*/true);
-  EXPECT_EQ(desc.At(0, 0), f.movie_eve);
-  // Lexicographic on names.
+  EXPECT_EQ(desc.ToRows(), (Rows{{f.movie_eve}, {f.movie_sunset}}));
+  // Lexicographic on names: "All..." < "Sunset...".
   Table by_name =
       SortRowsBy(*f.db, movies, 0, KeySpec::ChildContent(f.green, "name"));
-  EXPECT_EQ(by_name.At(0, 0), f.movie_eve);  // "All..." < "Sunset..."
+  EXPECT_EQ(by_name.ToRows(), (Rows{{f.movie_eve}, {f.movie_sunset}}));
+  // Selected input (City Lights dropped), descending by red name.
+  Table red = TagScanTable(f.db.get(), f.red, "$m", "movie", &stats);
+  Table sel = Selected(red, [&](NodeId m) { return m != f.movie_lights; });
+  EXPECT_EQ(SortRowsBy(*f.db, sel, 0, KeySpec::ChildContent(f.red, "name"),
+                       /*descending=*/true)
+                .ToRows(),
+            (Rows{{f.movie_sunset}, {f.movie_eve}}));
+  EXPECT_EQ(stats, (ExecStats{.rows_scanned = 5}));
 }
 
 // Property: ExpandDescendants agrees with a naive O(n*m) oracle on random
@@ -505,128 +656,6 @@ TEST(ParallelDeterminismTest, TpcwCatalogEndToEnd) {
             << q.id << " " << d.name << " x" << threads;
         EXPECT_EQ(par->stats, serial->stats)
             << q.id << " " << d.name << " x" << threads;
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Vectorized vs row-at-a-time differential: the legacy (batch=false) operator
-// paths replay the pre-columnar execution strategy, so they double as the
-// oracle — both modes must emit identical row sequences and identical stats.
-// ---------------------------------------------------------------------------
-
-template <typename Op>
-void ExpectBatchMatchesLegacy(const Op& op) {
-  ExecStats batch_stats;
-  Table batch = op(ExecContext(&batch_stats));
-  ExecStats legacy_stats;
-  ExecContext legacy_ctx(&legacy_stats);
-  legacy_ctx.batch = false;
-  Table legacy = op(legacy_ctx);
-  EXPECT_EQ(batch.vars, legacy.vars);
-  EXPECT_EQ(batch.ToRows(), legacy.ToRows());
-  EXPECT_EQ(batch_stats, legacy_stats);
-}
-
-TEST(VectorizedDifferentialTest, OperatorsMatchRowAtATime) {
-  MovieDb f = BuildMovieDb();
-  ASSERT_TRUE(f.db->SetAttr(f.actor_davis, "id", "a1").ok());
-  ASSERT_TRUE(f.db->SetAttr(f.actor_chaplin, "id", "a2").ok());
-  ASSERT_TRUE(f.db->SetAttr(f.movie_eve, "actorIdRefs", "a1 a2").ok());
-  ASSERT_TRUE(f.db->SetAttr(f.movie_lights, "actorIdRefs", "a2").ok());
-  MctDatabase* db = f.db.get();
-
-  Table movies = TagScanTable(db, f.red, "$m", "movie", nullptr);
-  Table genres = TagScanTable(db, f.red, "$g", "movie-genre", nullptr);
-  Table actors = TagScanTable(db, f.blue, "$a", "actor", nullptr);
-  Table green = TagScanTable(db, f.green, "$m2", "movie", nullptr);
-  KeySpec votes = KeySpec::ChildContent(f.green, "votes");
-
-  ExpectBatchMatchesLegacy([&](const ExecContext& ctx) {
-    return ExpandChildren(db, movies, 0, f.red, "name", "$n", ctx);
-  });
-  ExpectBatchMatchesLegacy([&](const ExecContext& ctx) {
-    return ExpandDescendants(db, genres, 0, f.red, "movie", "$m", ctx);
-  });
-  ExpectBatchMatchesLegacy([&](const ExecContext& ctx) {
-    return ExpandAncestors(db, movies, 0, f.red, "movie-genre", "$g", ctx);
-  });
-  ExpectBatchMatchesLegacy([&](const ExecContext& ctx) {
-    return CrossTreeJoin(db, movies, 0, f.green, ctx);
-  });
-  ExpectBatchMatchesLegacy([&](const ExecContext& ctx) {
-    return HashValueJoin(db, movies, 0, KeySpec::ChildContent(f.red, "name"),
-                         green, 0, KeySpec::ChildContent(f.green, "name"),
-                         ctx);
-  });
-  ExpectBatchMatchesLegacy([&](const ExecContext& ctx) {
-    return IdrefsJoin(db, movies, 0, KeySpec::Attr("actorIdRefs"), actors, 0,
-                      KeySpec::Attr("id"), ctx);
-  });
-  ExpectBatchMatchesLegacy([&](const ExecContext& ctx) {
-    return IdentityJoin(db, movies, 0, green, 0, ctx);
-  });
-  ExpectBatchMatchesLegacy([&](const ExecContext& ctx) {
-    return FilterRows(
-        movies, [&](size_t r) { return movies.At(r, 0) != f.movie_lights; },
-        ctx);
-  });
-  ExpectBatchMatchesLegacy([&](const ExecContext& ctx) {
-    Table t = Table::FromRows({"$a", "$b"}, {{1, 2}, {1, 3}, {1, 2}, {2, 2}});
-    return DupElim(std::move(t), {0, 1}, ctx);
-  });
-  ExpectBatchMatchesLegacy([&](const ExecContext& ctx) {
-    return SortRowsBy(*db, green, 0, votes, /*descending=*/true, ctx);
-  });
-}
-
-// End-to-end A/B: the whole evaluator (planner on and off) must return the
-// same values and stats with vectorized execution disabled.
-TEST(VectorizedDifferentialTest, TpcwCatalogEndToEnd) {
-  using workload::BuildTpcw;
-  using workload::CatalogQuery;
-  using workload::GenerateTpcw;
-  using workload::RunQuery;
-  using workload::SchemaKind;
-  using workload::TpcwScale;
-
-  auto data = GenerateTpcw(TpcwScale::Tiny());
-  auto mct_db = BuildTpcw(data, SchemaKind::kMct);
-  auto shallow_db = BuildTpcw(data, SchemaKind::kShallow);
-  ASSERT_TRUE(mct_db.ok());
-  ASSERT_TRUE(shallow_db.ok());
-
-  for (const CatalogQuery& q : workload::TpcwCatalog(data)) {
-    if (q.is_update) continue;
-    struct Dialect {
-      workload::TpcwDb* db;
-      const std::string* text;
-      const char* name;
-    };
-    Dialect dialects[] = {{&*mct_db, &q.mct, "mct"},
-                          {&*shallow_db, &q.shallow, "shallow"}};
-    for (const Dialect& d : dialects) {
-      if (d.text->empty()) continue;
-      for (bool planner : {false, true}) {
-        auto vec = RunQuery(d.db->db.get(), d.db->default_color(), *d.text,
-                            /*collect_values=*/true, /*num_threads=*/1,
-                            /*morsel_size=*/1024, nullptr, nullptr,
-                            mcx::AnalyzeMode::kOff, nullptr, planner, nullptr,
-                            /*vectorized=*/true);
-        auto row = RunQuery(d.db->db.get(), d.db->default_color(), *d.text,
-                            /*collect_values=*/true, /*num_threads=*/1,
-                            /*morsel_size=*/1024, nullptr, nullptr,
-                            mcx::AnalyzeMode::kOff, nullptr, planner, nullptr,
-                            /*vectorized=*/false);
-        ASSERT_TRUE(vec.ok()) << q.id << " " << d.name;
-        ASSERT_TRUE(row.ok()) << q.id << " " << d.name;
-        EXPECT_EQ(vec->result_count, row->result_count)
-            << q.id << " " << d.name << " planner=" << planner;
-        EXPECT_EQ(vec->values, row->values)
-            << q.id << " " << d.name << " planner=" << planner;
-        EXPECT_EQ(vec->stats, row->stats)
-            << q.id << " " << d.name << " planner=" << planner;
       }
     }
   }

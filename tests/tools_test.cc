@@ -10,6 +10,7 @@
 #include "mcx/parser.h"
 #include "mcx/printer.h"
 #include "movie_fixture.h"
+#include "query/trace.h"
 #include "workload/catalog.h"
 #include "workload/sigmodr_db.h"
 #include "workload/tpcw_db.h"
@@ -194,18 +195,17 @@ TEST(PrinterTest, PrintedQueryEvaluatesIdentically) {
 
 TEST(ExplainTest, TracesStructuralPlan) {
   MovieDb f = BuildMovieDb();
-  std::vector<std::string> plan;
+  query::QueryTrace trace;
   mcx::EvalOptions opts;
-  opts.plan = &plan;
+  opts.trace = &trace;
   mcx::Evaluator ev(f.db.get(), opts);
   auto r = ev.Run(
       "for $a in document(\"d\")/{green}descendant::movie"
       "[{green}child::votes > 10]/{red}child::movie-role/"
       "{blue}parent::actor return $a");
   ASSERT_TRUE(r.ok()) << r.status();
-  std::string joined;
-  for (const auto& line : plan) joined += line + "\n";
-  EXPECT_NE(joined.find("STRUCTURAL STEP {green}descendant::movie"),
+  const std::string joined = trace.ToText();
+  EXPECT_NE(joined.find("DESCENDANT STEP {green}descendant::movie"),
             std::string::npos)
       << joined;
   EXPECT_NE(joined.find("CROSS-TREE JOIN"), std::string::npos) << joined;
@@ -218,31 +218,29 @@ TEST(ExplainTest, TracesValueJoinPlan) {
   MovieDb f = BuildMovieDb();
   ASSERT_TRUE(f.db->SetAttr(f.actor_davis, "id", "a1").ok());
   ASSERT_TRUE(f.db->SetAttr(f.role_margo, "actorIdRef", "a1").ok());
-  std::vector<std::string> plan;
+  query::QueryTrace trace;
   mcx::EvalOptions opts;
-  opts.plan = &plan;
+  opts.trace = &trace;
   mcx::Evaluator ev(f.db.get(), opts);
   auto r = ev.Run(
       "for $a in document(\"d\")/{blue}descendant::actor, "
       "$r in document(\"d\")/{red}descendant::movie-role "
       "where $r/@actorIdRef = $a/@id return $r");
   ASSERT_TRUE(r.ok()) << r.status();
-  std::string joined;
-  for (const auto& line : plan) joined += line + "\n";
+  const std::string joined = trace.ToText();
   EXPECT_NE(joined.find("HASH VALUE JOIN"), std::string::npos) << joined;
 }
 
 TEST(ExplainTest, TracesIndexProbe) {
   MovieDb f = BuildMovieDb();
-  std::vector<std::string> plan;
+  query::QueryTrace trace;
   mcx::EvalOptions opts;
-  opts.plan = &plan;
+  opts.trace = &trace;
   mcx::Evaluator ev(f.db.get(), opts);
   ASSERT_TRUE(ev.Run("for $g in document(\"d\")/{red}descendant::movie-genre"
                      "[{red}child::name = \"Comedy\"] return $g")
                   .ok());
-  std::string joined;
-  for (const auto& line : plan) joined += line + "\n";
+  const std::string joined = trace.ToText();
   EXPECT_NE(joined.find("INDEX PROBE"), std::string::npos) << joined;
 }
 

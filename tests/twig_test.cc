@@ -21,11 +21,7 @@ TEST(TwigPatternTest, PathDetectionAndDecomposition) {
   p.Add(root, "c", false);
   EXPECT_FALSE(p.IsPath());
   p.Add(b, "d", false);
-  auto paths = p.RootToLeafPaths();
-  ASSERT_EQ(paths.size(), 2u);
-  // DFS order: a/b/d then a/c.
-  EXPECT_EQ(paths[0], (std::vector<int>{0, 1, 3}));
-  EXPECT_EQ(paths[1], (std::vector<int>{0, 2}));
+  EXPECT_FALSE(p.IsPath());
 }
 
 TEST(PathStackTest, SimplePathOnMovieDb) {
@@ -86,23 +82,8 @@ TEST(PathStackTest, RejectsBranchingPattern) {
                   .IsInvalidArgument());
 }
 
-TEST(TwigStackTest, BranchingTwigOnMovieDb) {
-  MovieDb f = BuildMovieDb();
-  // movie with BOTH a name child and a movie-role child (red).
-  TwigPattern p;
-  int m = p.Add(-1, "movie", false);
-  p.Add(m, "name", true);
-  p.Add(m, "movie-role", true);
-  auto t = TwigStackJoin(f.db.get(), f.red, p, nullptr);
-  ASSERT_TRUE(t.ok()) << t.status();
-  // Eve and City Lights have roles; Sunset's role is on the other movie.
-  std::set<NodeId> movies;
-  for (NodeId m2 : t->Column(0)) movies.insert(m2);
-  EXPECT_EQ(movies, (std::set<NodeId>{f.movie_eve, f.movie_lights}));
-}
-
-// Property: holistic joins agree with composed binary structural joins on
-// random trees, for random path and twig patterns.
+// Property: the holistic path join agrees with composed binary structural
+// joins on random trees, for random path patterns.
 class TwigProperty : public testing::TestWithParam<uint64_t> {};
 
 TEST_P(TwigProperty, AgreesWithBinaryJoinPlans) {
@@ -141,28 +122,6 @@ TEST_P(TwigProperty, AgreesWithBinaryJoinPlans) {
   std::multiset<std::vector<NodeId>> got(hol_rows.begin(), hol_rows.end());
   EXPECT_EQ(got.size(), expect.size());
   EXPECT_TRUE(got == expect);
-
-  // Branching twig: root with two leaf children.
-  TwigPattern tw;
-  int root = tw.Add(-1, tags[rng.Uniform(4)], false);
-  tw.Add(root, tags[rng.Uniform(4)], rng.Bernoulli(0.5));
-  tw.Add(root, tags[rng.Uniform(4)], rng.Bernoulli(0.5));
-  auto twig = TwigStackJoin(&db, c, tw, nullptr);
-  ASSERT_TRUE(twig.ok()) << twig.status();
-  Table bt = TagScanTable(&db, c, "#0", tw.nodes[0].tag, nullptr);
-  for (size_t i = 1; i < tw.nodes.size(); ++i) {
-    const TwigNode& n = tw.nodes[i];
-    bt = n.child_axis ? ExpandChildren(&db, bt, 0, c, n.tag,
-                                       "#" + std::to_string(i), nullptr)
-                      : ExpandDescendants(&db, bt, 0, c, n.tag,
-                                          "#" + std::to_string(i), nullptr);
-  }
-  auto bt_rows = bt.ToRows();
-  auto twig_rows = twig->ToRows();
-  std::multiset<std::vector<NodeId>> bexpect(bt_rows.begin(), bt_rows.end());
-  std::multiset<std::vector<NodeId>> bgot(twig_rows.begin(), twig_rows.end());
-  EXPECT_TRUE(bgot == bexpect)
-      << "twig " << bgot.size() << " vs binary " << bexpect.size();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TwigProperty,
