@@ -3,9 +3,13 @@
 // and measured serialization overhead of optSerialize's scheme against
 // (a) the worst ranked scheme and (b) per-type pessimal choices, and
 // validates the round trip (export -> parse -> import -> isomorphic).
+// Last, it times the exchange at --scale and at twice that scale and prints
+// each direction's growth ratio (2.0 is linear).
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/timer.h"
@@ -75,6 +79,72 @@ void RunDataset(const char* name, MctDatabase* db) {
   if (!iso) std::exit(1);
 }
 
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+// Times ExportXml and ImportXml of MCT TPC-W at `scale` and at twice that
+// scale, interleaved (each repetition runs both scales), and reports the
+// median of 3 and each direction's growth ratio.
+void RunGrowth(double scale) {
+  constexpr int kReps = 3;
+  struct Side {
+    double scale;
+    std::unique_ptr<MctDatabase> db;
+    SerializationScheme scheme;
+    std::vector<double> export_s, import_s;
+    size_t bytes = 0;
+  };
+  Side sides[2];
+  for (int i = 0; i < 2; ++i) {
+    sides[i].scale = scale * (i + 1);
+    auto built = BuildTpcw(
+        GenerateTpcw(TpcwScale::Default().ScaledBy(sides[i].scale)),
+        SchemaKind::kMct);
+    auto scheme = OptSerialize(InferSchema(*built->db));
+    if (!scheme.ok()) {
+      std::fprintf(stderr, "optSerialize failed\n");
+      std::exit(1);
+    }
+    sides[i].db = std::move(built->db);
+    sides[i].scheme = *scheme;
+  }
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (Side& side : sides) {
+      Timer te;
+      auto xml = ExportXml(side.db.get(), side.scheme, nullptr);
+      side.export_s.push_back(te.ElapsedSeconds());
+      if (!xml.ok()) {
+        std::fprintf(stderr, "export failed: %s\n",
+                     xml.status().ToString().c_str());
+        std::exit(1);
+      }
+      side.bytes = xml->size();
+      Timer ti;
+      auto imported = ImportXml(*xml);
+      side.import_s.push_back(ti.ElapsedSeconds());
+      if (!imported.ok()) {
+        std::fprintf(stderr, "import failed: %s\n",
+                     imported.status().ToString().c_str());
+        std::exit(1);
+      }
+    }
+  }
+  std::printf("\nExchange growth (TPC-W MCT, median of %d, interleaved):\n",
+              kReps);
+  for (const Side& side : sides) {
+    std::printf("  scale %-6g nodes %8zu  bytes %10zu  export %8.3fs  "
+                "import %8.3fs\n",
+                side.scale, side.db->store().size(), side.bytes,
+                Median(side.export_s), Median(side.import_s));
+  }
+  std::printf("  growth (x2 data): export %.2f  import %.2f  (2.00 is "
+              "linear)\n",
+              Median(sides[1].export_s) / Median(sides[0].export_s),
+              Median(sides[1].import_s) / Median(sides[0].import_s));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -110,8 +180,10 @@ int main(int argc, char** argv) {
     auto db = BuildSigmod(data, SchemaKind::kMct);
     RunDataset("SIGMOD-Record (MCT, 2 colors)", db->db.get());
   }
+  RunGrowth(scale);
   std::printf(
       "\nExpected shape: optSerialize's scheme never costs more than the\n"
-      "reversed ranking, and every export reimports isomorphically.\n");
+      "reversed ranking, every export reimports isomorphically, and the\n"
+      "exchange grows about linearly with the data.\n");
   return 0;
 }

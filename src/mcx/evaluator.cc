@@ -2284,53 +2284,81 @@ Result<bool> Evaluator::EvalBool(const EvalCtx& c, const Expr& e) {
 }
 
 Result<NodeId> Evaluator::DeepCopy(NodeId n) {
-  MCT_ASSIGN_OR_RETURN(NodeId copy, db_->CreateFreeElement(db_->Tag(n)));
-  for (const NodeAttr& a : db_->Attrs(n)) {
-    MCT_RETURN_IF_ERROR(
-        db_->SetAttr(copy, db_->store().names().Name(a.name), a.value));
-  }
-  if (db_->store().HasContent(n)) {
-    MCT_RETURN_IF_ERROR(db_->SetContent(copy, db_->Content(n)));
-  }
-  // Copy structure: pending children for constructed nodes; otherwise the
-  // subtree in the node's first color.
-  auto pit = pending_children_.find(n);
-  if (pit != pending_children_.end()) {
-    for (NodeId ch : pit->second) {
-      MCT_ASSIGN_OR_RETURN(NodeId ch_copy, DeepCopy(ch));
-      pending_children_[copy].push_back(ch_copy);
+  // Pre-order with an explicit stack, since a database may nest deeper than
+  // the call stack allows: each copy is allocated, given its payload and
+  // appended to its parent copy's pending children before the next node is
+  // taken. Structure comes from a constructed node's pending children,
+  // otherwise from the subtree in the node's first color.
+  struct Todo {
+    NodeId source;
+    NodeId parent_copy;  // kInvalidNodeId for `n` itself
+  };
+  std::vector<Todo> todo{{n, kInvalidNodeId}};
+  NodeId root_copy = kInvalidNodeId;
+  while (!todo.empty()) {
+    const Todo t = todo.back();
+    todo.pop_back();
+    MCT_ASSIGN_OR_RETURN(NodeId copy,
+                         db_->CreateFreeElement(db_->Tag(t.source)));
+    for (const NodeAttr& a : db_->Attrs(t.source)) {
+      MCT_RETURN_IF_ERROR(
+          db_->SetAttr(copy, db_->store().names().Name(a.name), a.value));
     }
-  } else {
-    ColorSet colors = db_->Colors(n);
-    if (!colors.empty()) {
-      ColorId c0 = colors.ToVector().front();
-      for (NodeId ch : db_->Children(n, c0)) {
-        if (db_->Kind(ch) != xml::NodeKind::kElement) continue;
-        MCT_ASSIGN_OR_RETURN(NodeId ch_copy, DeepCopy(ch));
-        pending_children_[copy].push_back(ch_copy);
+    if (db_->store().HasContent(t.source)) {
+      MCT_RETURN_IF_ERROR(db_->SetContent(copy, db_->Content(t.source)));
+    }
+    if (t.parent_copy == kInvalidNodeId) {
+      root_copy = copy;
+    } else {
+      pending_children_[t.parent_copy].push_back(copy);
+    }
+    const size_t first = todo.size();
+    auto pit = pending_children_.find(t.source);
+    if (pit != pending_children_.end()) {
+      for (NodeId ch : pit->second) todo.push_back({ch, copy});
+    } else {
+      ColorSet colors = db_->Colors(t.source);
+      if (!colors.empty()) {
+        const ColorId c0 = static_cast<ColorId>(__builtin_ctzll(colors.mask()));
+        db_->tree(c0)->ForEachChild(t.source, [&](NodeId ch) {
+          if (db_->Kind(ch) == xml::NodeKind::kElement) {
+            todo.push_back({ch, copy});
+          }
+        });
       }
     }
+    std::reverse(todo.begin() + static_cast<ptrdiff_t>(first), todo.end());
   }
-  return copy;
+  return root_copy;
 }
 
 Status Evaluator::AttachPending(NodeId node, ColorId color, NodeId parent) {
-  Status s = db_->AddNodeColor(node, color, parent);
-  if (s.IsAlreadyExists()) {
-    // Section 4.2: a node may occur at most once in any colored tree.
-    return Status::DynamicError(
-        "node occurs more than once in colored tree '" +
-        db_->ColorName(color) + "' — use createCopy to duplicate content");
-  }
-  MCT_RETURN_IF_ERROR(s);
-  auto it = pending_children_.find(node);
-  if (it == pending_children_.end()) return Status::OK();
-  // Detach the pending list before recursing (children may themselves have
-  // pending lists).
-  std::vector<NodeId> kids = it->second;
-  pending_children_.erase(it);
-  for (NodeId ch : kids) {
-    MCT_RETURN_IF_ERROR(AttachPending(ch, color, node));
+  // Pre-order with an explicit stack: a node is attached, then its pending
+  // children (which may have pending children of their own), each list
+  // detached from pending_children_ as its owner is attached.
+  struct Todo {
+    NodeId node;
+    NodeId parent;
+  };
+  std::vector<Todo> todo{{node, parent}};
+  while (!todo.empty()) {
+    const Todo t = todo.back();
+    todo.pop_back();
+    Status s = db_->AddNodeColor(t.node, color, t.parent);
+    if (s.IsAlreadyExists()) {
+      // Section 4.2: a node may occur at most once in any colored tree.
+      return Status::DynamicError(
+          "node occurs more than once in colored tree '" +
+          db_->ColorName(color) + "' — use createCopy to duplicate content");
+    }
+    MCT_RETURN_IF_ERROR(s);
+    auto it = pending_children_.find(t.node);
+    if (it == pending_children_.end()) continue;
+    std::vector<NodeId> kids = std::move(it->second);
+    pending_children_.erase(it);
+    for (auto k = kids.rbegin(); k != kids.rend(); ++k) {
+      todo.push_back({*k, t.node});
+    }
   }
   return Status::OK();
 }
@@ -2473,30 +2501,55 @@ Result<QueryResult> Evaluator::RunUpdate(const ParsedQuery& q) {
 // Result serialization
 // ---------------------------------------------------------------------------
 
-void Evaluator::ToXmlRec(NodeId n, ColorId color, std::string* out) {
-  out->push_back('<');
-  out->append(db_->Tag(n));
-  for (const NodeAttr& a : db_->Attrs(n)) {
-    out->push_back(' ');
-    out->append(db_->store().names().Name(a.name));
-    out->append("=\"");
-    out->append(xml::EscapeAttr(a.value));
-    out->push_back('"');
+void Evaluator::AppendXml(NodeId n, ColorId color, std::string* out) {
+  // Pre-order with an explicit stack, since a database may nest deeper than
+  // the call stack allows: an element's end tag is written when the walk
+  // pops the marker pushed beneath its children.
+  const ColoredTree* tree =
+      color < db_->num_colors() ? db_->tree(color) : nullptr;
+  struct Todo {
+    NodeId node;
+    bool end_tag;
+  };
+  std::vector<Todo> todo{{n, false}};
+  while (!todo.empty()) {
+    const Todo t = todo.back();
+    todo.pop_back();
+    const std::string& tag = db_->Tag(t.node);
+    if (t.end_tag) {
+      out->append("</").append(tag).push_back('>');
+      continue;
+    }
+    out->push_back('<');
+    out->append(tag);
+    for (const NodeAttr& a : db_->Attrs(t.node)) {
+      out->push_back(' ');
+      out->append(db_->store().names().Name(a.name));
+      out->append("=\"");
+      xml::EscapeAttr(a.value, out);
+      out->push_back('"');
+    }
+    todo.push_back({t.node, true});
+    const size_t first = todo.size();
+    bool has_children = false;
+    if (tree != nullptr) {
+      tree->ForEachChild(t.node, [&](NodeId ch) {
+        has_children = true;
+        if (db_->Kind(ch) == xml::NodeKind::kElement) {
+          todo.push_back({ch, false});
+        }
+      });
+    }
+    const bool has_content = db_->store().HasContent(t.node);
+    if (!has_children && !has_content) {
+      todo.pop_back();
+      out->append("/>");
+      continue;
+    }
+    out->push_back('>');
+    if (has_content) xml::EscapeText(db_->Content(t.node), out);
+    std::reverse(todo.begin() + static_cast<ptrdiff_t>(first), todo.end());
   }
-  auto children = db_->Children(n, color);
-  bool has_content = db_->store().HasContent(n);
-  if (children.empty() && !has_content) {
-    out->append("/>");
-    return;
-  }
-  out->push_back('>');
-  if (has_content) out->append(xml::EscapeText(db_->Content(n)));
-  for (NodeId ch : children) {
-    if (db_->Kind(ch) == xml::NodeKind::kElement) ToXmlRec(ch, color, out);
-  }
-  out->append("</");
-  out->append(db_->Tag(n));
-  out->push_back('>');
 }
 
 std::string Evaluator::ToXml(const QueryResult& r, ColorId color) {
@@ -2509,9 +2562,9 @@ std::string Evaluator::ToXml(const QueryResult& r, ColorId color) {
   for (const Item& it : r.items) {
     if (it.is_node) {
       if (color_blocked) continue;
-      ToXmlRec(it.node, color, &out);
+      AppendXml(it.node, color, &out);
     } else {
-      out.append(xml::EscapeText(it.atomic));
+      xml::EscapeText(it.atomic, &out);
     }
     out.push_back('\n');
   }

@@ -295,7 +295,12 @@ class Evaluator {
   Status ForRows(size_t n, bool parallel_ok,
                  const std::function<Status(size_t)>& fn,
                  size_t morsel_override = 0);
+  /// createCopy: a fresh free copy of `n` and its subtree (pending
+  /// children of a constructed node, else its subtree in its first color),
+  /// ids allocated in pre-order; the copied children become pending.
   Result<NodeId> DeepCopy(NodeId n);
+  /// Attaches `node` under `parent` in `color`, then its pending children
+  /// under it, in pre-order.
   Status AttachPending(NodeId node, ColorId color, NodeId parent);
 
   // Updates.
@@ -322,7 +327,8 @@ class Evaluator {
     flow_graph_.reset();
   }
 
-  void ToXmlRec(NodeId n, ColorId color, std::string* out);
+  /// Appends the subtree of `n` in `color` as XML text.
+  void AppendXml(NodeId n, ColorId color, std::string* out);
 
   MctDatabase* db_;
   EvalOptions opts_;

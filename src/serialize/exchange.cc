@@ -1,37 +1,44 @@
 #include "serialize/exchange.h"
 
 #include <algorithm>
+#include <charconv>
 #include <functional>
 #include <map>
+#include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/strings.h"
 #include "xml/dom.h"
+#include "xml/escape.h"
 #include "xml/parser.h"
-#include "xml/writer.h"
 
 namespace mct::serialize {
 
 namespace {
 
 constexpr char kWrapperTag[] = "mct-database";
+constexpr std::string_view kReservedPrefix = "mct.";
 
-// Chooses the primary color of node `n`: the best-ranked color of its type
-// that the instance actually has (the Section 5.3 fallback), else its first
-// color.
-ColorId PrimaryColorOf(const MctDatabase& db, const SerializationScheme& scheme,
-                       NodeId n) {
-  ColorSet colors = db.Colors(n);
-  auto it = scheme.primary.find(db.Tag(n));
-  if (it != scheme.primary.end()) {
-    for (const std::string& cname : it->second) {
-      ColorId c = db.LookupColor(cname);
-      if (c != kInvalidColorId && colors.Has(c)) return c;
-    }
-  }
-  auto v = colors.ToVector();
-  return v.empty() ? kInvalidColorId : v.front();
+void AppendUint(uint64_t v, std::string* out) {
+  char buf[20];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+/// Appends ` name="value"` with the value escaped.
+void AppendAttr(std::string_view name, std::string_view value,
+                std::string* out) {
+  out->push_back(' ');
+  out->append(name);
+  out->append("=\"");
+  xml::EscapeAttr(value, out);
+  out->push_back('"');
+}
+
+/// Appends ` mct.pos.<color>="<rank>"`.
+void AppendPos(std::string_view color, uint64_t rank, std::string* out) {
+  out->append(" mct.pos.").append(color).append("=\"");
+  AppendUint(rank, out);
+  out->push_back('"');
 }
 
 }  // namespace
@@ -43,165 +50,218 @@ Result<std::string> ExportXml(MctDatabase* db,
   ExportStats* st = stats != nullptr ? stats : &local;
   *st = ExportStats();
 
+  const NodeStore& store = db->store();
   const NodeId doc = db->document();
   const size_t ncolors = db->num_colors();
+  const size_t num_nodes = store.size();
 
-  // Pass 1: primary colors and referenced parents.
-  std::unordered_map<NodeId, ColorId> primary;
-  std::unordered_set<NodeId> needs_id;
-  std::vector<NodeId> all_nodes;
-  for (ColorId c = 0; c < ncolors; ++c) {
-    for (NodeId n : db->tree(c)->PreOrder()) {
-      if (n == doc || db->Kind(n) != xml::NodeKind::kElement) continue;
-      if (primary.contains(n)) continue;
-      primary[n] = PrimaryColorOf(*db, scheme, n);
-      all_nodes.push_back(n);
+  // Each tag's ranking of colors, resolved to color ids once.
+  std::vector<std::vector<ColorId>> ranking(store.names().size());
+  for (const auto& [tag, cnames] : scheme.primary) {
+    const NameId id = store.names().Lookup(tag);
+    if (id == kInvalidNameId) continue;
+    for (const std::string& cname : cnames) {
+      const ColorId c = db->LookupColor(cname);
+      if (c != kInvalidColorId) ranking[id].push_back(c);
     }
   }
-  for (NodeId n : all_nodes) {
-    db->Colors(n).ForEach([&](ColorId c) {
-      if (c == primary[n]) return;
-      NodeId p = db->tree(c)->Parent(n);
-      if (p != kInvalidNodeId && p != doc) needs_id.insert(p);
-    });
+
+  // Side tables. Per-node facts are dense by NodeId, filled by one scan of
+  // the node store in id order. Per-(node, color) facts take one slot per
+  // structural node: node n's slots start at info[n].slot_base, one per
+  // color of n in increasing color order.
+  enum : uint8_t { kNeedsId = 1, kVisited = 2, kOrphan = 4 };
+  struct NodeInfo {
+    uint64_t colors = 0;
+    uint64_t slot_base = 0;
+    // The best-ranked color of the element's type that the element has
+    // (the Section 5.3 fallback), else its first color; kInvalidColorId
+    // for the document and for uncolored nodes.
+    ColorId primary = kInvalidColorId;
+    uint8_t flags = 0;
+  };
+  std::vector<NodeInfo> info(num_nodes);
+  size_t num_slots = 0;
+  size_t num_colored = 0;
+  for (NodeId n = 0; n < num_nodes; ++n) {
+    const ColorSet cs = store.Colors(n);
+    NodeInfo& ni = info[n];
+    ni.colors = cs.mask();
+    ni.slot_base = num_slots;
+    num_slots += static_cast<size_t>(cs.count());
+    if (cs.empty() || store.Kind(n) != xml::NodeKind::kElement) continue;
+    ++num_colored;
+    ni.primary = static_cast<ColorId>(__builtin_ctzll(cs.mask()));
+    for (ColorId c : ranking[store.Name(n)]) {
+      if (cs.Has(c)) {
+        ni.primary = c;
+        break;
+      }
+    }
+  }
+  auto slot = [&](NodeId n, ColorId c) {
+    const uint64_t below = info[n].colors & ((uint64_t{1} << c) - 1);
+    return info[n].slot_base + static_cast<size_t>(__builtin_popcountll(below));
+  };
+  // Rank of a node among its parent's element children in that color.
+  std::vector<uint32_t> rank(num_slots);
+  // Set on (parent, color) when the parent mixes nested children with
+  // referenced or orphaned ones there: order is then explicit.
+  std::vector<uint8_t> mixed(num_slots);
+
+  // The nesting forest: each element hangs under its parent in its primary
+  // color, and a parent's nested children come color by color in each
+  // colored tree's local order (so they decode back in tree order). `order`
+  // is the forest's pre-order with depths (1 = under the wrapper).
+  //
+  // Expanding a node walks its children in each of its colors once. That
+  // walk also ranks every child among its parent's element children and
+  // flags a parent with a child of another primary color (that parent
+  // needs an id, and its order in that color is explicit). Every member of
+  // a colored tree but its root, the document, is an element.
+  struct Entry {
+    NodeId node;
+    uint32_t depth;
+  };
+  std::vector<Entry> order;
+  order.reserve(num_colored);
+  std::vector<Entry> work;
+  auto nest = [&](NodeId from, uint32_t depth) {
+    work.assign(1, Entry{from, depth});
+    while (!work.empty()) {
+      const Entry e = work.back();
+      work.pop_back();
+      if (e.node != doc) order.push_back(e);
+      const size_t first = work.size();
+      ColorSet(info[e.node].colors).ForEach([&](ColorId c) {
+        uint32_t r = 0;
+        db->tree(c)->ForEachChild(e.node, [&](NodeId k) {
+          NodeInfo& ki = info[k];
+          rank[slot(k, c)] = r++;
+          if (ki.primary != c) {
+            mixed[slot(e.node, c)] = 1;
+            if (e.node != doc) info[e.node].flags |= kNeedsId;
+          } else if ((ki.flags & kVisited) == 0) {
+            ki.flags |= kVisited;
+            work.push_back(Entry{k, e.depth + 1});
+          }
+        });
+      });
+      std::reverse(work.begin() + static_cast<ptrdiff_t>(first), work.end());
+    }
+  };
+  nest(doc, 0);
+  // Primary-color nesting is not guaranteed acyclic (the paper assumes
+  // multi-colored elements are not involved in schema cycles, Section 5.3).
+  // Elements not reached from the document sit in or under a cross-color
+  // nesting cycle. In order of first appearance over the colors' pre-orders,
+  // each one still unreached becomes an *orphan*, written at top level with
+  // parent pointers for every color including the primary one, and the
+  // rest of its cycle nests below it.
+  for (ColorId c = 0; c < ncolors && order.size() < num_colored; ++c) {
+    for (NodeId n : db->tree(c)->PreOrder()) {
+      NodeInfo& ni = info[n];
+      if (n == doc || (ni.flags & kVisited) != 0) continue;
+      ni.flags |= kVisited | kOrphan;
+      const NodeId p = db->tree(ni.primary)->Parent(n);
+      if (p != doc) info[p].flags |= kNeedsId;
+      mixed[slot(p, ni.primary)] = 1;
+      nest(n, 1);
+    }
   }
 
-
-  // Pass 2: build the DOM.
-  std::unordered_map<NodeId, xml::Element*> emitted;
-  auto wrapper = std::make_unique<xml::Element>(kWrapperTag);
+  // Write the forest in pre-order. The open elements are the current
+  // node's ancestors in the forest: an element's end tag is written when
+  // the walk leaves its subtree, and a nested element's XML parent, its
+  // parent in its primary color, is the innermost of them.
+  std::string out;
+  out.append("<").append(kWrapperTag);
   {
     std::vector<std::string> cnames;
     for (ColorId c = 0; c < ncolors; ++c) cnames.push_back(db->ColorName(c));
-    wrapper->SetAttr("colors", Join(cnames, " "));
+    AppendAttr("colors", Join(cnames, " "), &out);
   }
-
-  // Emit nodes so that each node's XML parent (its parent in its primary
-  // color) is emitted first. Primary-color nesting across colors is not
-  // guaranteed acyclic (the paper assumes multi-colored elements are not
-  // involved in schema cycles, Section 5.3); nodes caught in a cross-color
-  // nesting cycle are emitted at top level as *orphans*, carrying parent
-  // pointers for every color including the primary one.
-  std::vector<NodeId> order;
-  std::unordered_set<NodeId> orphans;
-  {
-    // Nesting forest: each node hangs under its primary-color parent, and
-    // the children of a parent are ordered color by color in each colored
-    // tree's local order (so nested siblings decode back in tree order).
-    auto nested_children = [&](NodeId parent) {
-      std::vector<NodeId> out;
-      db->Colors(parent).ForEach([&](ColorId c) {
-        for (NodeId k : db->tree(c)->Children(parent)) {
-          if (db->Kind(k) == xml::NodeKind::kElement && primary[k] == c) {
-            out.push_back(k);
-          }
-        }
-      });
-      return out;
-    };
-    order.reserve(all_nodes.size());
-    std::unordered_set<NodeId> visited;
-    auto dfs = [&](NodeId from) {
-      std::vector<NodeId> stack{from};
-      while (!stack.empty()) {
-        NodeId n = stack.back();
-        stack.pop_back();
-        if (n != doc) order.push_back(n);
-        auto kids = nested_children(n);
-        for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
-          if (visited.insert(*it).second) stack.push_back(*it);
-        }
-      }
-    };
-    visited.insert(doc);
-    dfs(doc);
-    // Nodes not reached sit in (or under) a cross-color nesting cycle —
-    // the case the paper's Section 5.3 assumption excludes. Break each
-    // cycle by orphaning its first node (emitted at top level with parent
-    // pointers for every color) and nest the rest below it.
-    for (NodeId n : all_nodes) {
-      if (visited.insert(n).second) {
-        orphans.insert(n);
-        NodeId p = db->tree(primary[n])->Parent(n);
-        if (p != doc) needs_id.insert(p);
-        dfs(n);
-      }
-    }
-  }
-  for (NodeId n : order) {
-    ColorId pc = primary[n];
-    bool orphan = orphans.contains(n);
-    NodeId parent = orphan ? doc : db->tree(pc)->Parent(n);
-    xml::Element* parent_elem;
-    ColorId parent_pc = kInvalidColorId;
-    if (parent == doc) {
-      parent_elem = wrapper.get();
-    } else {
-      parent_elem = emitted.at(parent);
-      parent_pc = primary[parent];
-    }
-    auto elem = std::make_unique<xml::Element>(db->Tag(n));
+  out.append(order.empty() ? "/>" : ">");
+  struct Open {
+    NodeId node;
+    const std::string* tag;
+  };
+  std::vector<Open> open;
+  auto close = [&]() {
+    out.append("</").append(*open.back().tag).push_back('>');
+    open.pop_back();
+  };
+  for (size_t i = 0; i < order.size(); ++i) {
+    const NodeId n = order[i].node;
+    const uint32_t depth = order[i].depth;
+    while (open.size() >= depth) close();
+    const NodeInfo& ni = info[n];
+    const ColorId pc = ni.primary;
+    const bool orphan = (ni.flags & kOrphan) != 0;
+    const NodeId parent = open.empty() ? doc : open.back().node;
+    const ColorId parent_pc = info[parent].primary;
+    const std::string& tag = db->Tag(n);
+    out.push_back('<');
+    out.append(tag);
     // Bookkeeping first, user attributes after.
-    if (needs_id.contains(n)) {
-      elem->SetAttr("mct.id", std::to_string(n));
+    if ((ni.flags & kNeedsId) != 0) {
+      out.append(" mct.id=\"");
+      AppendUint(n, &out);
+      out.push_back('"');
     }
     if (pc != parent_pc) {
-      elem->SetAttr("mct.pc", db->ColorName(pc));
+      AppendAttr("mct.pc", db->ColorName(pc), &out);
       if (parent != doc) ++st->color_annotations;
     }
-    if (orphan) elem->SetAttr("mct.orphan", "1");
+    if (orphan) out.append(" mct.orphan=\"1\"");
     // Parent pointers: every non-primary color; for orphans the primary
     // color too (their nesting under the wrapper carries no edge).
-    db->Colors(n).ForEach([&](ColorId c) {
+    ColorSet(ni.colors).ForEach([&](ColorId c) {
       if (c == pc && !orphan) return;
-      NodeId p = db->tree(c)->Parent(n);
-      if (p == kInvalidNodeId) return;
+      const NodeId p = db->tree(c)->Parent(n);
       const std::string& cname = db->ColorName(c);
-      elem->SetAttr("mct.ref." + cname,
-                    p == doc ? "doc" : std::to_string(p));
-      // Position among all element children of p in color c.
-      int pos = 0;
-      for (NodeId sib : db->tree(c)->Children(p)) {
-        if (sib == n) break;
-        if (db->Kind(sib) == xml::NodeKind::kElement) ++pos;
+      out.append(" mct.ref.").append(cname).append("=\"");
+      if (p == doc) {
+        out.append("doc");
+      } else {
+        AppendUint(p, &out);
       }
-      elem->SetAttr("mct.pos." + cname, std::to_string(pos));
+      out.push_back('"');
+      AppendPos(cname, rank[slot(n, c)], &out);
       ++st->parent_pointers;
     });
     // Explicit position in the primary color when the parent (the document
     // included) mixes nested and referenced children there (order would
     // otherwise be ambiguous).
-    if (!orphan) {
-      bool mixed = false;
-      for (NodeId sib : db->tree(pc)->Children(parent)) {
-        if (db->Kind(sib) == xml::NodeKind::kElement &&
-            (primary[sib] != pc || orphans.contains(sib))) {
-          mixed = true;
-          break;
-        }
-      }
-      if (mixed) {
-        int pos = 0;
-        for (NodeId sib : db->tree(pc)->Children(parent)) {
-          if (sib == n) break;
-          if (db->Kind(sib) == xml::NodeKind::kElement) ++pos;
-        }
-        elem->SetAttr("mct.pos." + db->ColorName(pc), std::to_string(pos));
-      }
+    if (!orphan && mixed[slot(parent, pc)] != 0) {
+      AppendPos(db->ColorName(pc), rank[slot(n, pc)], &out);
     }
     for (const NodeAttr& a : db->Attrs(n)) {
-      elem->SetAttr(db->store().names().Name(a.name), a.value);
+      const std::string& name = store.names().Name(a.name);
+      if (name.starts_with(kReservedPrefix)) {
+        return Status::InvalidArgument(
+            "node " + std::to_string(n) + " <" + tag + "> has attribute '" +
+            name + "': the exchange format reserves names starting with " +
+            "'mct.'");
+      }
+      AppendAttr(name, a.value, &out);
     }
-    if (db->store().HasContent(n)) {
-      elem->AddText(db->Content(n));
+    const bool has_text = store.HasContent(n);
+    const bool has_children =
+        i + 1 < order.size() && order[i + 1].depth > depth;
+    if (!has_text && !has_children) {
+      out.append("/>");
+      continue;
     }
-    emitted[n] = parent_elem->AddChild(std::move(elem));
-    ++st->elements;
+    out.push_back('>');
+    if (has_text) xml::EscapeText(db->Content(n), &out);
+    open.push_back(Open{n, &tag});
   }
-
-  std::string xml = xml::Write(*wrapper);
-  st->bytes = xml.size();
-  return xml;
+  while (!open.empty()) close();
+  if (!order.empty()) out.append("</").append(kWrapperTag).push_back('>');
+  st->elements = order.size();
+  st->bytes = out.size();
+  return out;
 }
 
 namespace {

@@ -1,22 +1,38 @@
 // MCT <-> XML exchange (Section 5): serializes an MCT database as a single
 // plain-XML document that a receiver can reconstruct the database from.
 //
-// Encoding. Every element is emitted exactly once, nested inside its parent
-// in its *primary* color (per a SerializationScheme, normally produced by
-// optSerialize; instances lacking the chosen color fall back to the next
-// ranked color, Section 5.3). Bookkeeping attributes carry what nesting
-// alone cannot:
-//   mct.id            node identifier (emitted when any reference needs it)
-//   mct.colors        the node's colors, space separated, when they differ
-//                     from the single enclosing color (this plays the role
-//                     of the paper's color="c+/c-/c" annotations; the
-//                     information content is identical and decoding is
-//                     simpler — see DESIGN.md)
-//   mct.ref.<color>   id of the node's parent in a non-primary color
-//   mct.pos.<color>   sibling position under that parent (restores the
-//                     per-color local order)
-// User attributes are emitted as-is; names starting with "mct." are
-// reserved by the format.
+// Encoding. The document is one <mct-database colors="c0 c1 ..."> element,
+// the palette in color-id order. Every element is written exactly once,
+// nested inside its parent in its *primary* color (per a
+// SerializationScheme, normally produced by optSerialize; an instance
+// lacking the chosen color falls back to the next ranked color, else to its
+// first color, Section 5.3). The children nested under one parent come
+// color by color, each color in its colored tree's local order. An
+// element's own content is its first child, as text. Bookkeeping
+// attributes, written before the user's, carry what nesting alone cannot:
+//   mct.id="<id>"          the node's id, when another element refers to it
+//   mct.pc="<color>"       the primary color, when it differs from the
+//                          enclosing element's (so always at top level);
+//                          it plays the role of the paper's c+/c- shading
+//                          with the same information and simpler decoding
+//                          (see DESIGN.md)
+//   mct.orphan="1"         the element sits in a cross-color nesting cycle,
+//                          which Section 5.3 assumes away, so it is written
+//                          at top level and its primary parent is a ref too
+//   mct.ref.<color>="<id>" its parent in a non-primary color; "doc" for the
+//                          document
+//   mct.pos.<color>="<k>"  its rank among that parent's element children:
+//                          with every ref, and in the primary color when the
+//                          parent mixes nested children with referenced or
+//                          orphaned ones there
+// User attributes follow as-is. Attribute names starting with "mct." are
+// reserved: ExportXml refuses an element that carries one.
+//
+// ExportXml reads the node store once in id order and walks each
+// structural node's children once, with side tables sized by nodes plus
+// structural nodes, and writes straight into the output text with explicit
+// stacks (no DOM, no recursion), so its time is linear in the database and
+// any depth is written.
 
 #ifndef COLORFUL_XML_SERIALIZE_EXCHANGE_H_
 #define COLORFUL_XML_SERIALIZE_EXCHANGE_H_
@@ -45,6 +61,8 @@ struct ExportStats {
 };
 
 /// Serializes the database as XML using `scheme`'s primary colors.
+/// InvalidArgument, naming the node and the attribute, when an element
+/// carries a user attribute whose name starts with "mct.".
 Result<std::string> ExportXml(MctDatabase* db,
                               const SerializationScheme& scheme,
                               ExportStats* stats = nullptr);

@@ -6,52 +6,56 @@
 
 namespace mct::xml {
 
-std::string EscapeText(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '&':
-        out += "&amp;";
-        break;
-      case '<':
-        out += "&lt;";
-        break;
-      case '>':
-        out += "&gt;";
-        break;
-      default:
-        out.push_back(c);
-    }
+namespace {
+
+// Appends `s` to `out`, replacing each character that `replacement` maps to
+// a non-null entity; runs between such characters are appended whole.
+template <typename Replacement>
+void AppendEscaped(std::string_view s, std::string* out,
+                   Replacement replacement) {
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    const char* entity = replacement(s[i]);
+    if (entity == nullptr) continue;
+    out->append(s.data() + run, i - run);
+    out->append(entity);
+    run = i + 1;
   }
-  return out;
+  out->append(s.data() + run, s.size() - run);
 }
 
-std::string EscapeAttr(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '&':
-        out += "&amp;";
-        break;
-      case '<':
-        out += "&lt;";
-        break;
-      case '>':
-        out += "&gt;";
-        break;
-      case '"':
-        out += "&quot;";
-        break;
-      case '\n':
-        out += "&#10;";
-        break;
-      default:
-        out.push_back(c);
-    }
+const char* TextEntity(char c) {
+  switch (c) {
+    case '&':
+      return "&amp;";
+    case '<':
+      return "&lt;";
+    case '>':
+      return "&gt;";
+    default:
+      return nullptr;
   }
-  return out;
+}
+
+const char* AttrEntity(char c) {
+  switch (c) {
+    case '"':
+      return "&quot;";
+    case '\n':
+      return "&#10;";
+    default:
+      return TextEntity(c);
+  }
+}
+
+}  // namespace
+
+void EscapeText(std::string_view s, std::string* out) {
+  AppendEscaped(s, out, [](char c) { return TextEntity(c); });
+}
+
+void EscapeAttr(std::string_view s, std::string* out) {
+  AppendEscaped(s, out, [](char c) { return AttrEntity(c); });
 }
 
 Result<std::string> Unescape(std::string_view s) {

@@ -10,11 +10,12 @@
 
 namespace mct::xml {
 
-/// Escapes text content: & < >.
-std::string EscapeText(std::string_view s);
+/// Appends `s` to `out` escaped as text content: & < >.
+void EscapeText(std::string_view s, std::string* out);
 
-/// Escapes an attribute value (also " and newline-safe).
-std::string EscapeAttr(std::string_view s);
+/// Appends `s` to `out` escaped as an attribute value (also " and
+/// newline-safe).
+void EscapeAttr(std::string_view s, std::string* out);
 
 /// Resolves the five predefined entities and decimal/hex character
 /// references. ParseError on an unknown or malformed entity.

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 
+#include "common/crc32c.h"
 #include "common/rng.h"
+#include "mct/xml_load.h"
 #include "movie_fixture.h"
 #include "schema_oracle.h"
 #include "serialize/exchange.h"
@@ -389,6 +391,182 @@ TEST(ExchangeTest, OptimalSchemeCostsNoMoreThanWorst) {
   ExportStats worst_stats;
   ASSERT_TRUE(ExportXml(f.db.get(), worst, &worst_stats).ok());
   EXPECT_LE(best_stats.CostUnits(), worst_stats.CostUnits());
+}
+
+// ---- Exchange: the export text is pinned ----
+//
+// The exchange text is a contract with whoever reads it, so the writer may
+// change only in ways that leave it byte-identical. The expected values
+// below were recorded from the DOM-building exporter that preceded the
+// streaming one.
+
+struct PinnedExport {
+  const char* dataset;
+  bool reversed;  // optSerialize's ranking reversed per type
+  uint32_t crc32c;
+  size_t bytes;
+  uint64_t parent_pointers;
+  uint64_t color_annotations;
+  uint64_t elements;
+};
+
+SerializationScheme ReversedScheme(SerializationScheme s) {
+  for (auto& [_, ranked] : s.primary) {
+    std::reverse(ranked.begin(), ranked.end());
+  }
+  return s;
+}
+
+TEST(ExchangeTest, WorkloadExportsArePinned) {
+  using namespace workload;
+  const PinnedExport kPinned[] = {
+      {"tpcw", false, 1604999108u, 808557, 12512, 0, 7938},
+      {"tpcw", true, 307602761u, 868215, 12512, 4004, 7938},
+      {"sigmod", false, 110223099u, 5960, 75, 0, 94},
+      {"sigmod", true, 2258170686u, 5920, 75, 0, 94},
+  };
+  auto tpcw = BuildTpcw(GenerateTpcw(TpcwScale::Default().ScaledBy(0.05)),
+                        SchemaKind::kMct);
+  ASSERT_TRUE(tpcw.ok()) << tpcw.status();
+  auto sigmod =
+      BuildSigmod(GenerateSigmod(SigmodScale::Default().ScaledBy(0.05)),
+                  SchemaKind::kMct);
+  ASSERT_TRUE(sigmod.ok()) << sigmod.status();
+  for (const PinnedExport& pin : kPinned) {
+    SCOPED_TRACE(std::string(pin.dataset) +
+                 (pin.reversed ? " reversed" : " optSerialize"));
+    MctDatabase* db = std::string(pin.dataset) == "tpcw" ? tpcw->db.get()
+                                                         : sigmod->db.get();
+    auto scheme = OptSerialize(InferSchema(*db));
+    ASSERT_TRUE(scheme.ok());
+    ExportStats stats;
+    auto xml = ExportXml(
+        db, pin.reversed ? ReversedScheme(*scheme) : *scheme, &stats);
+    ASSERT_TRUE(xml.ok()) << xml.status();
+    EXPECT_EQ(Crc32c(*xml), pin.crc32c);
+    EXPECT_EQ(xml->size(), pin.bytes);
+    EXPECT_EQ(stats.bytes, pin.bytes);
+    EXPECT_EQ(stats.parent_pointers, pin.parent_pointers);
+    EXPECT_EQ(stats.color_annotations, pin.color_annotations);
+    EXPECT_EQ(stats.elements, pin.elements);
+  }
+}
+
+TEST(ExchangeTest, MovieExportIsPinned) {
+  MovieDb f = BuildMovieDb();
+  ASSERT_TRUE(f.db->SetAttr(f.movie_eve, "year", "1950").ok());
+  ASSERT_TRUE(
+      f.db->SetAttr(f.movie_eve, "note", "said \"fasten\" & <buckle>\nup")
+          .ok());
+  ASSERT_TRUE(f.db->SetContent(f.role_tramp, "a < b && c > d").ok());
+  auto scheme = OptSerialize(InferSchema(*f.db));
+  ASSERT_TRUE(scheme.ok());
+  ExportStats stats;
+  auto xml = ExportXml(f.db.get(), *scheme, &stats);
+  ASSERT_TRUE(xml.ok()) << xml.status();
+  EXPECT_EQ(
+      *xml,
+      "<mct-database colors=\"red green blue\">"
+      "<movie-genre mct.pc=\"red\"><name>All</name>"
+      "<movie-genre mct.id=\"3\"><name mct.pos.red=\"0\">Comedy</name>"
+      "<movie-genre mct.pos.red=\"1\"><name>Slapstick</name>"
+      "<movie mct.id=\"23\"><name mct.pos.red=\"0\">City Lights</name></movie>"
+      "</movie-genre></movie-genre>"
+      "<movie-genre mct.id=\"7\"><name mct.pos.red=\"0\">Drama</name>"
+      "</movie-genre></movie-genre>"
+      "<movie-award mct.pc=\"green\"><name>Oscar Best Movie</name>"
+      "<movie-award><name>1950</name>"
+      "<movie mct.id=\"20\" mct.ref.red=\"3\" mct.pos.red=\"2\" year=\"1950\" "
+      "note=\"said &quot;fasten&quot; &amp; &lt;buckle&gt;&#10;up\">"
+      "<name mct.ref.red=\"20\" mct.pos.red=\"0\">All About Eve</name>"
+      "<votes>14</votes></movie>"
+      "<movie mct.id=\"25\" mct.ref.red=\"7\" mct.pos.red=\"1\">"
+      "<name mct.ref.red=\"25\" mct.pos.red=\"0\">Sunset Boulevard</name>"
+      "<votes>8</votes></movie></movie-award>"
+      "<movie-award><name>1951</name></movie-award></movie-award>"
+      "<actors mct.pc=\"blue\"><actor><name>Bette Davis</name>"
+      "<movie-role mct.id=\"28\" mct.ref.red=\"20\" mct.pos.red=\"1\">"
+      "<name mct.ref.red=\"28\" mct.pos.red=\"0\">Margo</name></movie-role>"
+      "</actor><actor><name>Charlie Chaplin</name>"
+      "<movie-role mct.id=\"30\" mct.ref.red=\"23\" mct.pos.red=\"1\">"
+      "a &lt; b &amp;&amp; c &gt; d"
+      "<name mct.ref.red=\"30\" mct.pos.red=\"0\">Tramp</name></movie-role>"
+      "</actor></actors></mct-database>");
+  EXPECT_EQ(stats.bytes, xml->size());
+  EXPECT_EQ(stats.parent_pointers, 8u);
+  EXPECT_EQ(stats.color_annotations, 0u);
+  EXPECT_EQ(stats.elements, 31u);
+}
+
+// A cross-color nesting cycle: x's primary parent is y (in a) and y's is x
+// (in b), so neither is reachable from the document by primary nesting.
+// The first of them in color order is orphaned: it is written at top level
+// with a parent pointer for every color, and the rest nests below it.
+TEST(ExchangeTest, NestingCycleIsOrphanedAndRoundTrips) {
+  MctDatabase db;
+  ColorId a = *db.RegisterColor("a");
+  ColorId b = *db.RegisterColor("b");
+  NodeId y = *db.CreateElement(a, db.document(), "y");
+  NodeId x = *db.CreateElement(a, y, "x");
+  ASSERT_TRUE(db.AddNodeColor(x, b, db.document()).ok());
+  ASSERT_TRUE(db.AddNodeColor(y, b, x).ok());
+  ASSERT_TRUE(db.SetContent(y, "why").ok());
+  SerializationScheme scheme;
+  scheme.primary["x"] = {"a", "b"};
+  scheme.primary["y"] = {"b", "a"};
+  ExportStats stats;
+  auto xml = ExportXml(&db, scheme, &stats);
+  ASSERT_TRUE(xml.ok()) << xml.status();
+  EXPECT_EQ(*xml,
+            "<mct-database colors=\"a b\">"
+            "<y mct.pc=\"b\" mct.orphan=\"1\" mct.ref.a=\"doc\" mct.pos.a=\"0\" "
+            "mct.ref.b=\"2\" mct.pos.b=\"0\">why"
+            "<x mct.id=\"2\" mct.pc=\"a\" mct.ref.b=\"doc\" mct.pos.b=\"0\"/>"
+            "</y></mct-database>");
+  EXPECT_EQ(stats.parent_pointers, 3u);
+  EXPECT_EQ(stats.color_annotations, 1u);
+  EXPECT_EQ(stats.elements, 2u);
+  auto imported = ImportXml(*xml);
+  ASSERT_TRUE(imported.ok()) << imported.status();
+  std::string why;
+  EXPECT_TRUE(DatabasesIsomorphic(db, **imported, &why)) << why;
+}
+
+// The format reserves attribute names starting with "mct.", so a user
+// attribute with such a name (plain-XML ingestion accepts one) is refused
+// by export rather than written as text its own importer would refuse or
+// misread.
+TEST(ExchangeTest, ExportRefusesReservedAttributeNames) {
+  struct Case {
+    const char* xml;
+    const char* attr;
+  };
+  for (const Case& c : {Case{"<r><a mct.pc=\"zzz\">x</a></r>", "mct.pc"},
+                        Case{"<r><a mct.ref.red=\"doc\"/></r>", "mct.ref.red"},
+                        Case{"<r><a mct.id=\"7\"/></r>", "mct.id"}}) {
+    SCOPED_TRACE(c.xml);
+    MctDatabase db;
+    ColorId red = *db.RegisterColor("red");
+    ASSERT_TRUE(LoadXmlText(&db, red, c.xml).ok());
+    auto xml = ExportXml(&db, SerializationScheme{}, nullptr);
+    ASSERT_FALSE(xml.ok());
+    EXPECT_TRUE(xml.status().IsInvalidArgument()) << xml.status();
+    EXPECT_NE(xml.status().message().find("node 2 <a>"), std::string::npos)
+        << xml.status();
+    EXPECT_NE(xml.status().message().find(std::string("'") + c.attr + "'"),
+              std::string::npos)
+        << xml.status();
+  }
+  // A name that merely contains "mct." is the user's.
+  MctDatabase db;
+  ColorId red = *db.RegisterColor("red");
+  ASSERT_TRUE(LoadXmlText(&db, red, "<r><a x.mct.id=\"7\"/></r>").ok());
+  auto xml = ExportXml(&db, SerializationScheme{}, nullptr);
+  ASSERT_TRUE(xml.ok()) << xml.status();
+  auto imported = ImportXml(*xml);
+  ASSERT_TRUE(imported.ok()) << imported.status();
+  std::string why;
+  EXPECT_TRUE(DatabasesIsomorphic(db, **imported, &why)) << why;
 }
 
 TEST(ExchangeTest, ImportRejectsGarbage) {

@@ -4,7 +4,6 @@
 #include "xml/escape.h"
 #include "xml/name_pool.h"
 #include "xml/parser.h"
-#include "xml/writer.h"
 
 namespace mct::xml {
 namespace {
@@ -23,16 +22,38 @@ TEST(NamePoolTest, InternIsIdempotent) {
 
 TEST(EscapeTest, TextRoundTrip) {
   std::string raw = "a < b && c > d";
-  auto back = Unescape(EscapeText(raw));
+  std::string escaped = "kept:";
+  EscapeText(raw, &escaped);
+  EXPECT_EQ(escaped, "kept:a &lt; b &amp;&amp; c &gt; d");
+  auto back = Unescape(std::string_view(escaped).substr(5));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, raw);
 }
 
 TEST(EscapeTest, AttrRoundTrip) {
   std::string raw = "say \"hi\" & <bye>\n";
-  auto back = Unescape(EscapeAttr(raw));
+  std::string escaped;
+  EscapeAttr(raw, &escaped);
+  EXPECT_EQ(escaped, "say &quot;hi&quot; &amp; &lt;bye&gt;&#10;");
+  auto back = Unescape(escaped);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, raw);
+}
+
+// Text built with the escape helpers parses back to the raw values, in
+// attributes and in content.
+TEST(EscapeTest, EscapedMarkupParsesBack) {
+  const std::string attr = "x \"y\" & <z>\nw";
+  const std::string text = "1 < 2 & 3 > 2";
+  std::string doc = "<t a=\"";
+  EscapeAttr(attr, &doc);
+  doc += "\">";
+  EscapeText(text, &doc);
+  doc += "</t>";
+  auto parsed = Parse(doc);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(*parsed->root->FindAttr("a"), attr);
+  EXPECT_EQ(parsed->root->StringValue(), text);
 }
 
 TEST(EscapeTest, NumericReferences) {
@@ -169,63 +190,89 @@ TEST(ParserTest, NestingIsCappedAtMaxDepth) {
   EXPECT_EQ(doc->root->children().size(), static_cast<size_t>(2 * kMaxDepth));
 }
 
-TEST(WriterTest, CompactRoundTrip) {
-  std::string src =
+// A compact form of a parsed tree for assertions: name[attr=value,...]
+// followed by (child,...) when there are children; text children quoted,
+// comments as <!--text-->, processing instructions as <?name text?>.
+std::string Tree(const Element& e) {
+  switch (e.kind()) {
+    case NodeKind::kText:
+      return "\"" + e.text() + "\"";
+    case NodeKind::kComment:
+      return "<!--" + e.text() + "-->";
+    case NodeKind::kProcessingInstruction:
+      return "<?" + e.name() + " " + e.text() + "?>";
+    default:
+      break;
+  }
+  std::string out = e.name();
+  for (size_t i = 0; i < e.attrs().size(); ++i) {
+    out += i == 0 ? "[" : ",";
+    out += e.attrs()[i].name + "=" + e.attrs()[i].value;
+  }
+  if (!e.attrs().empty()) out += "]";
+  for (size_t i = 0; i < e.children().size(); ++i) {
+    out += i == 0 ? "(" : ",";
+    out += Tree(*e.children()[i]);
+  }
+  if (!e.children().empty()) out += ")";
+  return out;
+}
+
+TEST(ParserTest, AttributesAndChildrenKeepDocumentOrder) {
+  auto doc = Parse(
       "<mdb><movie id=\"m1\" genre=\"comedy\"><name>All About Eve</name>"
-      "<votes>12</votes></movie><movie id=\"m2\"/></mdb>";
-  auto doc = Parse(src);
-  ASSERT_TRUE(doc.ok());
-  EXPECT_EQ(Write(*doc), src);
+      "<votes>12</votes></movie><movie id=\"m2\"/></mdb>");
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  EXPECT_EQ(Tree(*doc->root),
+            "mdb(movie[id=m1,genre=comedy](name(\"All About Eve\"),"
+            "votes(\"12\")),movie[id=m2])");
 }
 
-TEST(WriterTest, EscapingRoundTrip) {
-  Element e("t");
-  e.SetAttr("a", "x \"y\" & <z>");
-  e.AddText("1 < 2 & 3 > 2");
-  std::string out = Write(e);
-  auto doc = Parse(out);
-  ASSERT_TRUE(doc.ok());
-  EXPECT_EQ(*doc->root->FindAttr("a"), "x \"y\" & <z>");
-  EXPECT_EQ(doc->root->StringValue(), "1 < 2 & 3 > 2");
+TEST(ParserTest, IndentedDocumentParsesLikeCompact) {
+  auto indented = Parse(
+      "<?xml version=\"1.0\"?>\n<a>\n  <b>\n    <c>text</c>\n  </b>\n"
+      "  <d/>\n</a>\n");
+  ASSERT_TRUE(indented.ok()) << indented.status();
+  auto compact = Parse("<a><b><c>text</c></b><d/></a>");
+  ASSERT_TRUE(compact.ok()) << compact.status();
+  EXPECT_EQ(Tree(*indented->root), "a(b(c(\"text\")),d)");
+  EXPECT_EQ(Tree(*indented->root), Tree(*compact->root));
 }
 
-TEST(WriterTest, PrettyPrintingParsesBack) {
-  auto doc = Parse("<a><b><c>text</c></b><d/></a>");
-  ASSERT_TRUE(doc.ok());
-  WriteOptions opt;
-  opt.pretty = true;
-  opt.declaration = true;
-  std::string pretty = Write(*doc, opt);
-  EXPECT_NE(pretty.find('\n'), std::string::npos);
-  auto re = Parse(pretty);
-  ASSERT_TRUE(re.ok());
-  EXPECT_EQ(re->root->FindChild("b")->FindChild("c")->StringValue(), "text");
+// Each document of a corpus of tricky ones parses to the expected tree.
+struct ParseCase {
+  const char* xml;
+  const char* tree;
+};
+
+void PrintTo(const ParseCase& c, std::ostream* os) {
+  *os << testing::PrintToString(c.xml);
 }
 
-// Parse(Write(Parse(x))) == Parse(x) over a corpus of tricky documents.
-class XmlRoundTrip : public testing::TestWithParam<const char*> {};
+class XmlParseDom : public testing::TestWithParam<ParseCase> {};
 
-TEST_P(XmlRoundTrip, WriteThenParseIsIdentity) {
-  auto doc1 = Parse(GetParam());
-  ASSERT_TRUE(doc1.ok()) << doc1.status();
-  std::string text = Write(*doc1);
-  auto doc2 = Parse(text);
-  ASSERT_TRUE(doc2.ok()) << doc2.status();
-  EXPECT_EQ(Write(*doc2), text);
+TEST_P(XmlParseDom, MatchesExpectedTree) {
+  auto doc = Parse(GetParam().xml);
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  EXPECT_EQ(Tree(*doc->root), GetParam().tree);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Corpus, XmlRoundTrip,
+    Corpus, XmlParseDom,
     testing::Values(
-        "<a/>",
-        "<a b=\"c\"/>",
-        "<a>text</a>",
-        "<a>x<b/>y</a>",
-        "<a><![CDATA[<raw>]]></a>",
-        "<ns:a xmlns:ns=\"http://x\"><ns:b/></ns:a>",
-        "<a att=\"&quot;q&quot;\">&amp;</a>",
-        "<deep><l1><l2><l3><l4>v</l4></l3></l2></l1></deep>",
-        "<mixed>one<e1/>two<e2/>three</mixed>"));
+        ParseCase{"<a/>", "a"},
+        ParseCase{"<a b=\"c\"/>", "a[b=c]"},
+        ParseCase{"<a>text</a>", "a(\"text\")"},
+        ParseCase{"<a>x<b/>y</a>", "a(\"x\",b,\"y\")"},
+        ParseCase{"<a><![CDATA[<raw>]]></a>", "a(\"<raw>\")"},
+        ParseCase{"<ns:a xmlns:ns=\"http://x\"><ns:b/></ns:a>",
+                  "ns:a[xmlns:ns=http://x](ns:b)"},
+        ParseCase{"<a att=\"&quot;q&quot;\">&amp;</a>",
+                  "a[att=\"q\"](\"&\")"},
+        ParseCase{"<deep><l1><l2><l3><l4>v</l4></l3></l2></l1></deep>",
+                  "deep(l1(l2(l3(l4(\"v\")))))"},
+        ParseCase{"<mixed>one<e1/>two<e2/>three</mixed>",
+                  "mixed(\"one\",e1,\"two\",e2,\"three\")"}));
 
 }  // namespace
 }  // namespace mct::xml
