@@ -3,16 +3,20 @@
 // and measured serialization overhead of optSerialize's scheme against
 // (a) the worst ranked scheme and (b) per-type pessimal choices, and
 // validates the round trip (export -> parse -> import -> isomorphic).
-// Last, it times the exchange at --scale and at twice that scale and prints
-// each direction's growth ratio (2.0 is linear).
+// Last, it times the loaders (BuildTpcw, snapshot save and open, exchange
+// export and import) at --scale and at twice that scale and prints each
+// one's growth ratio (2.0 is linear).
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/timer.h"
+#include "mct/snapshot.h"
 #include "serialize/exchange.h"
 #include "serialize/opt_serialize.h"
 #include "serialize/schema.h"
@@ -84,65 +88,84 @@ double Median(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
-// Times ExportXml and ImportXml of MCT TPC-W at `scale` and at twice that
-// scale, interleaved (each repetition runs both scales), and reports the
-// median of 3 and each direction's growth ratio.
+// Times the loaders of MCT TPC-W at `scale` and at twice that scale,
+// interleaved (each repetition runs both scales): BuildTpcw from generated
+// data, SaveSnapshot then OpenSnapshot, and ExportXml then ImportXml.
+// Reports the median of 3 and each step's growth ratio.
 void RunGrowth(double scale) {
   constexpr int kReps = 3;
   struct Side {
     double scale;
+    TpcwData data;
     std::unique_ptr<MctDatabase> db;
     SerializationScheme scheme;
-    std::vector<double> export_s, import_s;
+    std::vector<double> build_s, save_s, open_s, export_s, import_s;
     size_t bytes = 0;
   };
+  auto die = [](const char* what, const Status& s) {
+    std::fprintf(stderr, "%s failed: %s\n", what, s.ToString().c_str());
+    std::exit(1);
+  };
+  const std::string snap =
+      (std::filesystem::temp_directory_path() / "bench_serialize_growth.snap")
+          .string();
   Side sides[2];
   for (int i = 0; i < 2; ++i) {
     sides[i].scale = scale * (i + 1);
-    auto built = BuildTpcw(
-        GenerateTpcw(TpcwScale::Default().ScaledBy(sides[i].scale)),
-        SchemaKind::kMct);
-    auto scheme = OptSerialize(InferSchema(*built->db));
-    if (!scheme.ok()) {
-      std::fprintf(stderr, "optSerialize failed\n");
-      std::exit(1);
-    }
-    sides[i].db = std::move(built->db);
-    sides[i].scheme = *scheme;
+    sides[i].data = GenerateTpcw(TpcwScale::Default().ScaledBy(sides[i].scale));
   }
   for (int rep = 0; rep < kReps; ++rep) {
     for (Side& side : sides) {
+      Timer tb;
+      auto built = BuildTpcw(side.data, SchemaKind::kMct);
+      side.build_s.push_back(tb.ElapsedSeconds());
+      if (!built.ok()) die("build", built.status());
+      side.db = std::move(built->db);
+      if (rep == 0) {
+        auto scheme = OptSerialize(InferSchema(*side.db));
+        if (!scheme.ok()) die("optSerialize", scheme.status());
+        side.scheme = *scheme;
+      }
+      Timer ts;
+      Status saved = SaveSnapshot(*side.db, snap);
+      side.save_s.push_back(ts.ElapsedSeconds());
+      if (!saved.ok()) die("save", saved);
+      Timer to;
+      auto opened = OpenSnapshot(snap);
+      side.open_s.push_back(to.ElapsedSeconds());
+      if (!opened.ok()) die("open", opened.status());
+      opened->reset();
       Timer te;
       auto xml = ExportXml(side.db.get(), side.scheme, nullptr);
       side.export_s.push_back(te.ElapsedSeconds());
-      if (!xml.ok()) {
-        std::fprintf(stderr, "export failed: %s\n",
-                     xml.status().ToString().c_str());
-        std::exit(1);
-      }
+      if (!xml.ok()) die("export", xml.status());
       side.bytes = xml->size();
       Timer ti;
       auto imported = ImportXml(*xml);
       side.import_s.push_back(ti.ElapsedSeconds());
-      if (!imported.ok()) {
-        std::fprintf(stderr, "import failed: %s\n",
-                     imported.status().ToString().c_str());
-        std::exit(1);
-      }
+      if (!imported.ok()) die("import", imported.status());
     }
   }
-  std::printf("\nExchange growth (TPC-W MCT, median of %d, interleaved):\n",
+  std::filesystem::remove(snap);
+  std::printf("\nLoad and exchange growth (TPC-W MCT, median of %d, "
+              "interleaved):\n",
               kReps);
   for (const Side& side : sides) {
-    std::printf("  scale %-6g nodes %8zu  bytes %10zu  export %8.3fs  "
-                "import %8.3fs\n",
+    std::printf("  scale %-6g nodes %8zu  bytes %10zu  build %7.3fs  "
+                "save %7.3fs  open %7.3fs  export %7.3fs  import %7.3fs\n",
                 side.scale, side.db->store().size(), side.bytes,
-                Median(side.export_s), Median(side.import_s));
+                Median(side.build_s), Median(side.save_s),
+                Median(side.open_s), Median(side.export_s),
+                Median(side.import_s));
   }
-  std::printf("  growth (x2 data): export %.2f  import %.2f  (2.00 is "
-              "linear)\n",
-              Median(sides[1].export_s) / Median(sides[0].export_s),
-              Median(sides[1].import_s) / Median(sides[0].import_s));
+  auto growth = [&](std::vector<double> Side::*times) {
+    return Median(sides[1].*times) / Median(sides[0].*times);
+  };
+  std::printf("  growth (x2 data): build %.2f  save %.2f  open %.2f  "
+              "export %.2f  import %.2f  (2.00 is linear)\n",
+              growth(&Side::build_s), growth(&Side::save_s),
+              growth(&Side::open_s), growth(&Side::export_s),
+              growth(&Side::import_s));
 }
 
 }  // namespace
@@ -184,6 +207,6 @@ int main(int argc, char** argv) {
   std::printf(
       "\nExpected shape: optSerialize's scheme never costs more than the\n"
       "reversed ranking, every export reimports isomorphically, and the\n"
-      "exchange grows about linearly with the data.\n");
+      "loaders and the exchange grow about linearly with the data.\n");
   return 0;
 }

@@ -2,17 +2,17 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "common/strings.h"
 #include "common/thread_pool.h"
 
 namespace mct {
 
-MctDatabase::MctDatabase()
-    : tag_image_(std::make_shared<ImageDirectory>()),
-      content_image_(std::make_shared<ImageDirectory>()),
-      attr_image_(std::make_shared<ImageDirectory>()),
-      edge_counts_(std::make_shared<EdgeCounts>()) {
+MctDatabase::MctDatabase() : edge_counts_(std::make_shared<EdgeCounts>()) {
+  for (IndexImage& image : images_) {
+    image = std::make_shared<ImageDirectory>();
+  }
   auto doc = store_.CreateNode(xml::NodeKind::kDocument, "#document");
   assert(doc.ok());
   document_ = *doc;
@@ -22,9 +22,7 @@ MctDatabase::MctDatabase(const MctDatabase& o)
     : store_(o.store_),
       colors_(o.colors_),
       document_(o.document_),
-      tag_image_(o.tag_image_),
-      content_image_(o.content_image_),
-      attr_image_(o.attr_image_),
+      images_(o.images_),
       edge_counts_(o.edge_counts_),
       shard_map_(o.shard_map_),
       shard_count_(o.shard_count_) {
@@ -35,10 +33,25 @@ MctDatabase::MctDatabase(const MctDatabase& o)
 }
 
 std::unique_ptr<MctDatabase> MctDatabase::CowClone() const {
+  assert(!loading_);  // the clone would miss the pending entries
   return std::unique_ptr<MctDatabase>(new MctDatabase(*this));
 }
 
 MctDatabase::~MctDatabase() = default;
+
+MctDatabase::Loader::Loader(MctDatabase* db) : db_(db) {
+  assert(!db->loading_);
+  db->loading_ = true;
+}
+
+void MctDatabase::Loader::Finish() {
+  if (db_ == nullptr) return;
+  for (int kind = 0; kind < kNumImages; ++kind) {
+    db_->BuildPending(static_cast<ImageKind>(kind));
+  }
+  db_->loading_ = false;
+  db_ = nullptr;
+}
 
 uint32_t MctDatabase::HashValue(std::string_view s) {
   // FNV-1a, folded to 32 bits.
@@ -82,6 +95,82 @@ void MctDatabase::ImageErase(IndexImage* image, uint64_t key, NodeId n) {
   list->erase(std::lower_bound(list->begin(), list->end(), n));
 }
 
+void MctDatabase::IndexInsert(ImageKind kind, uint64_t key, NodeId n) {
+  if (loading_) {
+    pending_[kind].push_back(ImageEntry{key, n});
+  } else {
+    ImageInsert(&images_[kind], key, n);
+  }
+}
+
+void MctDatabase::IndexErase(ImageKind kind, uint64_t key, NodeId n) {
+  if (loading_) BuildPending(kind);  // the entry may still be pending
+  ImageErase(&images_[kind], key, n);
+}
+
+void MctDatabase::BuildPending(ImageKind kind) {
+  std::vector<ImageEntry> entries = std::exchange(pending_[kind], {});
+  if (entries.empty()) return;
+  // Group the entries by bucket in place (an American flag sort: each
+  // misplaced entry is swapped straight into its bucket's next free slot),
+  // so each bucket is privatized once; start[b]..start[b + 1] is bucket b.
+  std::array<size_t, kImageBuckets + 1> start{};
+  for (const ImageEntry& e : entries) ++start[BucketOf(e.key) + 1];
+  for (size_t b = 0; b < kImageBuckets; ++b) start[b + 1] += start[b];
+  std::array<size_t, kImageBuckets> next;
+  std::copy(start.begin(), start.end() - 1, next.begin());
+  for (size_t b = 0; b < kImageBuckets; ++b) {
+    while (next[b] < start[b + 1]) {
+      ImageEntry e = entries[next[b]];
+      for (size_t eb = BucketOf(e.key); eb != b; eb = BucketOf(e.key)) {
+        std::swap(e, entries[next[eb]++]);
+      }
+      entries[next[b]++] = e;
+    }
+  }
+  ImageDirectory* dir = CowOwn(images_[kind]);
+  for (size_t b = 0; b < kImageBuckets; ++b) {
+    const auto first = entries.begin() + static_cast<ptrdiff_t>(start[b]);
+    const auto last = entries.begin() + static_cast<ptrdiff_t>(start[b + 1]);
+    if (first == last) continue;
+    // Each key's entries together, its nodes ascending. A bucket of one
+    // key whose nodes arrived in order (a build's tag image) is sorted.
+    auto by_key_node = [](const ImageEntry& x, const ImageEntry& y) {
+      return x.key != y.key ? x.key < y.key : x.node < y.node;
+    };
+    if (!std::is_sorted(first, last, by_key_node)) {
+      std::sort(first, last, by_key_node);
+    }
+    // New buckets and lists are allocated at their final size; existing
+    // ones grow as usual, so repeated small loads stay amortized.
+    ImageBucket* bucket = CowOwn(dir->buckets[b]);
+    if (bucket->lists.empty()) {
+      size_t keys = 0;
+      for (auto it = first; it != last; ++it) {
+        keys += it == first || it->key != (it - 1)->key;
+      }
+      bucket->lists.reserve(keys);
+    }
+    // A (key, node) pair is pending at most once and never also in the
+    // image: a node enters an image once per color or value, and an erase
+    // builds the pending entries in first. So runs need no deduplication.
+    for (auto it = first; it != last;) {
+      const uint64_t key = it->key;
+      auto run_end = it;
+      while (run_end != last && run_end->key == key) ++run_end;
+      std::vector<NodeId>* list = CowOwn(bucket->lists[key]);
+      const size_t old_size = list->size();
+      if (old_size == 0) list->reserve(static_cast<size_t>(run_end - it));
+      for (; it != run_end; ++it) list->push_back(it->node);
+      // Merged into an existing list unless the new nodes all follow it.
+      const auto mid = list->begin() + static_cast<ptrdiff_t>(old_size);
+      if (old_size != 0 && *(mid - 1) > *mid) {
+        std::inplace_merge(list->begin(), mid, list->end());
+      }
+    }
+  }
+}
+
 Result<ColorId> MctDatabase::RegisterColor(std::string_view name) {
   ColorId existing = colors_.Lookup(name);
   if (existing != kInvalidColorId) return existing;
@@ -118,7 +207,7 @@ Status MctDatabase::AddNodeColor(NodeId node, ColorId color, NodeId parent,
   MCT_RETURN_IF_ERROR(trees_[color]->InsertChild(parent, node, before));
   store_.AddColor(node, color);
   if (IsElement(node)) {
-    ImageInsert(&tag_image_, TagKey(color, store_.Name(node)), node);
+    IndexInsert(kTagImage, TagKey(color, store_.Name(node)), node);
     if (IsElement(parent)) {
       ++(*CowOwn(edge_counts_))[EdgeKey{color, store_.Name(parent),
                                         store_.Name(node)}];
@@ -128,12 +217,12 @@ Status MctDatabase::AddNodeColor(NodeId node, ColorId color, NodeId parent,
     // The node enters the database: its content and attribute values
     // become index-visible.
     if (store_.HasContent(node)) {
-      ImageInsert(&content_image_,
+      IndexInsert(kContentImage,
                   ValueKey(store_.Name(node), HashValue(store_.Content(node))),
                   node);
     }
     for (const NodeAttr& a : store_.Attrs(node)) {
-      ImageInsert(&attr_image_, ValueKey(a.name, HashValue(a.value)), node);
+      IndexInsert(kAttrImage, ValueKey(a.name, HashValue(a.value)), node);
     }
   }
   return Status::OK();
@@ -174,16 +263,16 @@ Status MctDatabase::RemoveNodeColor(NodeId node, ColorId color) {
   for (NodeId n : removed) {
     store_.RemoveColor(n, color);
     if (IsElement(n)) {
-      ImageErase(&tag_image_, TagKey(color, store_.Name(n)), n);
+      IndexErase(kTagImage, TagKey(color, store_.Name(n)), n);
     }
     if (store_.Colors(n).empty()) {
       // Last color gone: the node leaves the database entirely.
       if (store_.HasContent(n)) {
-        ImageErase(&content_image_,
+        IndexErase(kContentImage,
                    ValueKey(store_.Name(n), HashValue(store_.Content(n))), n);
       }
       for (const NodeAttr& a : store_.Attrs(n)) {
-        ImageErase(&attr_image_, ValueKey(a.name, HashValue(a.value)), n);
+        IndexErase(kAttrImage, ValueKey(a.name, HashValue(a.value)), n);
       }
       store_.MarkDead(n);
     }
@@ -194,13 +283,13 @@ Status MctDatabase::RemoveNodeColor(NodeId node, ColorId color) {
 Status MctDatabase::SetContent(NodeId node, std::string_view text) {
   bool indexed = Indexed(node);
   if (indexed && store_.HasContent(node)) {
-    ImageErase(&content_image_,
+    IndexErase(kContentImage,
                ValueKey(store_.Name(node), HashValue(store_.Content(node))),
                node);
   }
   store_.SetContent(node, text);
   if (indexed) {
-    ImageInsert(&content_image_, ValueKey(store_.Name(node), HashValue(text)),
+    IndexInsert(kContentImage, ValueKey(store_.Name(node), HashValue(text)),
                 node);
   }
   return Status::OK();
@@ -209,14 +298,14 @@ Status MctDatabase::SetContent(NodeId node, std::string_view text) {
 Status MctDatabase::SetAttr(NodeId node, std::string_view name,
                             std::string_view value) {
   bool indexed = Indexed(node);
-  const std::string* old = store_.FindAttr(node, name);
-  NameId name_id = store_.mutable_names()->Intern(name);
+  NameId name_id = store_.InternName(name);
+  const std::string* old = store_.FindAttr(node, name_id);
   if (indexed && old != nullptr) {
-    ImageErase(&attr_image_, ValueKey(name_id, HashValue(*old)), node);
+    IndexErase(kAttrImage, ValueKey(name_id, HashValue(*old)), node);
   }
-  store_.SetAttr(node, name, value);
+  store_.SetAttr(node, name_id, value);
   if (indexed) {
-    ImageInsert(&attr_image_, ValueKey(name_id, HashValue(value)), node);
+    IndexInsert(kAttrImage, ValueKey(name_id, HashValue(value)), node);
   }
   return Status::OK();
 }
@@ -296,7 +385,7 @@ std::vector<NodeId> MctDatabase::TagScan(ColorId color, std::string_view tag,
   NameId tag_id = store_.names().Lookup(tag);
   if (tag_id == kInvalidNameId || color >= trees_.size()) return out;
   const std::vector<NodeId>* list =
-      ImageFind(*tag_image_, TagKey(color, tag_id));
+      ImageFind(Image(kTagImage), TagKey(color, tag_id));
   if (list == nullptr) return out;
   out = *list;
   // Posting order is by node id (stable under relabeling); re-establish the
@@ -347,7 +436,7 @@ std::vector<NodeId> MctDatabase::ContentLookup(std::string_view tag,
   NameId tag_id = store_.names().Lookup(tag);
   if (tag_id == kInvalidNameId) return out;
   const std::vector<NodeId>* list =
-      ImageFind(*content_image_, ValueKey(tag_id, HashValue(value)));
+      ImageFind(Image(kContentImage), ValueKey(tag_id, HashValue(value)));
   if (list == nullptr) return out;
   for (NodeId n : *list) {
     if (store_.Content(n) == value) out.push_back(n);  // hash verify
@@ -361,7 +450,7 @@ std::vector<NodeId> MctDatabase::AttrLookup(std::string_view name,
   NameId name_id = store_.names().Lookup(name);
   if (name_id == kInvalidNameId) return out;
   const std::vector<NodeId>* list =
-      ImageFind(*attr_image_, ValueKey(name_id, HashValue(value)));
+      ImageFind(Image(kAttrImage), ValueKey(name_id, HashValue(value)));
   if (list == nullptr) return out;
   for (NodeId n : *list) {
     const std::string* v = store_.FindAttr(n, name);
@@ -374,7 +463,7 @@ size_t MctDatabase::TagCount(ColorId color, std::string_view tag) const {
   NameId tag_id = store_.names().Lookup(tag);
   if (tag_id == kInvalidNameId || color >= trees_.size()) return 0;
   const std::vector<NodeId>* list =
-      ImageFind(*tag_image_, TagKey(color, tag_id));
+      ImageFind(Image(kTagImage), TagKey(color, tag_id));
   return list == nullptr ? 0 : list->size();
 }
 
@@ -488,11 +577,22 @@ DatabaseStats MctDatabase::Stats() const {
 size_t MctDatabase::ResidentChunks() const {
   size_t n = store_.ResidentChunks();
   for (const auto& t : trees_) n += t->ResidentChunks();
-  for (const IndexImage* image : {&tag_image_, &content_image_, &attr_image_}) {
+  for (const IndexImage& image : images_) {
     n += 1;  // the directory
-    for (const auto& bucket : (*image)->buckets) n += (bucket != nullptr);
+    for (const auto& bucket : image->buckets) n += (bucket != nullptr);
   }
   return n;
+}
+
+std::array<uint64_t, 3> MctDatabase::ImageEntries() const {
+  std::array<uint64_t, 3> out{};
+  for (int kind = 0; kind < kNumImages; ++kind) {
+    for (const auto& bucket : Image(static_cast<ImageKind>(kind)).buckets) {
+      if (bucket == nullptr) continue;
+      for (const auto& [_, list] : bucket->lists) out[kind] += list->size();
+    }
+  }
+  return out;
 }
 
 }  // namespace mct

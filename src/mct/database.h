@@ -28,10 +28,14 @@
 // the posting lists. A version's write copies only the directory, the one
 // bucket and the one list it touches, each only while another version
 // still holds it, and then edits in place; so a commit's first index write
-// costs one bucket, and a bulk build appends to its lists without copying.
-// Index entries exist only for nodes carrying at least one color, so
-// query-side constructor scratch (free elements built by RETURN clauses on
-// reader clones) never touches the shared images.
+// costs one bucket. Index entries exist only for nodes carrying at least
+// one color, so query-side constructor scratch (free elements built by
+// RETURN clauses on reader clones) never touches the shared images.
+//
+// Bulk loads (the workload builders, OpenSnapshot, ImportXml,
+// LoadXmlElement) run inside a Loader: their index entries are buffered
+// and each posting list is built once, from sorted entries, instead of
+// inserting one id at a time into a sorted list.
 //
 // Table 1 sizes are not stored anywhere: Stats() derives them from a page
 // model of the version (the pages a fresh load of it into Timber-style
@@ -42,6 +46,7 @@
 #define COLORFUL_XML_MCT_DATABASE_H_
 
 #include <array>
+#include <cassert>
 #include <memory>
 #include <optional>
 #include <string>
@@ -96,6 +101,34 @@ class MctDatabase {
   std::unique_ptr<MctDatabase> CowClone(bool /*ignored*/) const {
     return CowClone();
   }
+
+  /// A bulk load (RAII). While a Loader is open, AddNodeColor, SetContent
+  /// and SetAttr build the node store and the colored trees as usual, but
+  /// append each index entry to a per-image buffer of (key, node) pairs
+  /// instead of inserting it into its sorted posting list, where an id
+  /// that arrives out of order would shift the rest of the list. Finish()
+  /// sorts each buffer once and builds each key's posting list, or merges
+  /// into the existing one, with one copy-on-write step per bucket and per
+  /// list. The destructor finishes a load that returns early, so the
+  /// images agree with the trees on every exit path. An erase during the
+  /// load (an overwritten value) first builds that image's pending entries
+  /// in. Index reads (TagScan, TagCount, ContentLookup, AttrLookup,
+  /// ForEachElementCount) and CowClone wait for Finish (asserted); loaders
+  /// do not nest. Finish runs no label pass: labels stay lazy.
+  class Loader {
+   public:
+    explicit Loader(MctDatabase* db);
+    ~Loader() { Finish(); }
+    Loader(const Loader&) = delete;
+    Loader& operator=(const Loader&) = delete;
+
+    /// Builds the buffered entries into the images and ends the load;
+    /// later calls do nothing.
+    void Finish();
+
+   private:
+    MctDatabase* db_;
+  };
 
   // ---- Palette ----
 
@@ -223,7 +256,7 @@ class MctDatabase {
   /// `color` — the sizes of the tag image's posting lists.
   template <typename Fn>
   void ForEachElementCount(Fn&& fn) const {
-    for (const auto& bucket : tag_image_->buckets) {
+    for (const auto& bucket : Image(kTagImage).buckets) {
       if (bucket == nullptr) continue;
       for (const auto& [key, list] : bucket->lists) {
         fn(static_cast<ColorId>(key >> 32), static_cast<NameId>(key),
@@ -256,6 +289,10 @@ class MctDatabase {
   /// versions are retired.
   size_t ResidentChunks() const;
 
+  /// (key, node) entries held by the tag, content and attribute images, in
+  /// that order — what ValidateDatabase checks against the node store.
+  std::array<uint64_t, 3> ImageEntries() const;
+
   /// The 32-bit value hash the content/attribute indexes key on. Public so
   /// tests can engineer colliding values and assert the lookup recheck.
   static uint32_t HashValue(std::string_view s);
@@ -281,6 +318,11 @@ class MctDatabase {
     std::array<std::shared_ptr<ImageBucket>, kImageBuckets> buckets;
   };
   using IndexImage = std::shared_ptr<ImageDirectory>;
+  enum ImageKind : uint8_t { kTagImage, kContentImage, kAttrImage, kNumImages };
+  struct ImageEntry {
+    uint64_t key;
+    NodeId node;
+  };
 
   // The COW clone step, reachable only through CowClone().
   MctDatabase(const MctDatabase& o);
@@ -318,6 +360,17 @@ class MctDatabase {
   static void ImageErase(IndexImage* image, uint64_t key, NodeId n);
   static const std::vector<NodeId>* ImageFind(const ImageDirectory& image,
                                               uint64_t key);
+  /// Index writes: buffered while a Loader is open, applied in place
+  /// otherwise.
+  void IndexInsert(ImageKind kind, uint64_t key, NodeId n);
+  void IndexErase(ImageKind kind, uint64_t key, NodeId n);
+  /// Sorts the pending entries of one image and builds them into it.
+  void BuildPending(ImageKind kind);
+  /// An image for reading, which needs every pending entry built in.
+  const ImageDirectory& Image(ImageKind kind) const {
+    assert(!loading_);
+    return *images_[kind];
+  }
 
   bool IsElement(NodeId n) const {
     return store_.Kind(n) == xml::NodeKind::kElement;
@@ -331,11 +384,13 @@ class MctDatabase {
   ColorRegistry colors_;
   std::vector<std::unique_ptr<ColoredTree>> trees_;
   NodeId document_ = kInvalidNodeId;
-  // Resident images keyed TagKey / ValueKey.
-  IndexImage tag_image_;
-  IndexImage content_image_;
-  IndexImage attr_image_;
+  // Resident images: the tag image keyed TagKey, the content and attribute
+  // images keyed ValueKey.
+  std::array<IndexImage, kNumImages> images_;
   std::shared_ptr<EdgeCounts> edge_counts_;
+  // An open Loader's buffered entries, per image.
+  bool loading_ = false;
+  std::array<std::vector<ImageEntry>, kNumImages> pending_;
   // Immutable shard map shared across the MVCC lineage; any structural
   // mutation resets only this version's pointer (shard-local
   // invalidation), and EnsureShardMap rebuilds lazily. Null when

@@ -83,13 +83,17 @@ class NodeStore {
     return nodes_.At(n).attrs;
   }
   const std::string* FindAttr(NodeId n, std::string_view name) const;
-  void SetAttr(NodeId n, std::string_view name, std::string_view value);
+  const std::string* FindAttr(NodeId n, NameId name) const;
+  /// Sets attribute `name` (an id from InternName) of node `n`.
+  void SetAttr(NodeId n, NameId name, std::string_view value);
 
   /// Marks a node dead (detached from every colored tree and dropped).
   void MarkDead(NodeId n) { nodes_.Mut(n).dead = true; }
 
-  /// Interning mutates the pool, so it privatizes a shared one first.
-  NamePool* mutable_names() { return CowOwn(names_); }
+  /// The id of `name`, interned if new. The pool is shared between
+  /// versions, so only a name it lacks privatizes it (copies it when
+  /// another version still holds it).
+  NameId InternName(std::string_view name);
   const NamePool& names() const { return *names_; }
 
   /// COW leaves and chunks resident in this version (for the leak test

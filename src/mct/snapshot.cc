@@ -1,7 +1,7 @@
 #include "mct/snapshot.h"
 
 #include <cstring>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/crc32c.h"
@@ -83,15 +83,27 @@ void SerializeBody(MctDatabase& db, std::string* out) {
   w.U32(static_cast<uint32_t>(db.num_colors()));
   for (ColorId c = 0; c < db.num_colors(); ++c) w.Str(db.ColorName(c));
 
-  // Live nodes (every element reachable in some color), dense re-ids.
-  std::unordered_map<NodeId, uint32_t> dense;
+  // Live nodes (every element reachable in some color), dense re-ids in
+  // order of first appearance over the colors' pre-orders, and per color
+  // its edges in pre-order (parent 0xFFFFFFFF = document). A parent
+  // precedes its child in that pre-order, so its dense id is known; the
+  // document keeps the unassigned mark, which is what the format writes
+  // for it.
+  constexpr uint32_t kDocument = 0xFFFFFFFFu;
+  std::vector<uint32_t> dense(db.store().size(), kDocument);
   std::vector<NodeId> live;
+  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> edges(
+      db.num_colors());
   for (ColorId c = 0; c < db.num_colors(); ++c) {
-    for (NodeId n : db.tree(c)->PreOrder()) {
+    const ColoredTree* t = db.tree(c);
+    edges[c].reserve(t->size() - 1);
+    for (NodeId n : t->PreOrder()) {
       if (n == db.document()) continue;
-      if (dense.emplace(n, static_cast<uint32_t>(live.size())).second) {
+      if (dense[n] == kDocument) {
+        dense[n] = static_cast<uint32_t>(live.size());
         live.push_back(n);
       }
+      edges[c].emplace_back(dense[t->Parent(n)], dense[n]);
     }
   }
   w.U32(static_cast<uint32_t>(live.size()));
@@ -107,18 +119,9 @@ void SerializeBody(MctDatabase& db, std::string* out) {
       w.Str(a.value);
     }
   }
-  // Per color, edges in pre-order (parent id 0xFFFFFFFF = document).
-  for (ColorId c = 0; c < db.num_colors(); ++c) {
-    const ColoredTree* t = db.tree(c);
-    std::vector<std::pair<uint32_t, uint32_t>> edges;
-    for (NodeId n : t->PreOrder()) {
-      if (n == db.document()) continue;
-      NodeId p = t->Parent(n);
-      uint32_t pd = (p == db.document()) ? 0xFFFFFFFFu : dense.at(p);
-      edges.emplace_back(pd, dense.at(n));
-    }
-    w.U64(edges.size());
-    for (const auto& [p, ch] : edges) {
+  for (const auto& color_edges : edges) {
+    w.U64(color_edges.size());
+    for (const auto& [p, ch] : color_edges) {
       w.U32(p);
       w.U32(ch);
     }
@@ -128,6 +131,7 @@ void SerializeBody(MctDatabase& db, std::string* out) {
 Result<std::unique_ptr<MctDatabase>> DeserializeBody(std::string_view body) {
   Reader r(body);
   auto db = std::make_unique<MctDatabase>();
+  MctDatabase::Loader loader(db.get());
   MCT_ASSIGN_OR_RETURN(uint32_t ncolors, r.U32());
   if (ncolors > kMaxColors) return Status::Corruption("bad color count");
   for (uint32_t i = 0; i < ncolors; ++i) {
@@ -174,6 +178,7 @@ Result<std::unique_ptr<MctDatabase>> DeserializeBody(std::string_view body) {
   if (r.remaining() != 0) {
     return Status::Corruption("snapshot has trailing bytes");
   }
+  loader.Finish();
   return db;
 }
 

@@ -2,8 +2,9 @@
 //
 // The snapshot is a compacting logical dump (palette, live nodes with
 // payloads, per-color structure in local document order); loading replays
-// it through the public constructors, which rebuild the index images and
-// type counts consistently. Node ids are re-assigned densely — use
+// it through the public constructors inside one MctDatabase::Loader, which
+// rebuild the type counts per edge and each index posting list once. Saving
+// walks each colored tree once. Node ids are re-assigned densely — use
 // DatabasesIsomorphic (serialize/exchange.h) to compare databases across a
 // save/load cycle, not raw NodeIds.
 //

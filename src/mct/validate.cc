@@ -1,6 +1,7 @@
 #include "mct/validate.h"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <set>
 #include <unordered_set>
@@ -128,20 +129,35 @@ ValidationReport ValidateDatabase(MctDatabase& db) {
       }
     }
   }
+  // Expected entries per image: one per (element, color), per indexed
+  // content and per indexed attribute.
+  std::array<uint64_t, 3> expected{};
   for (const auto& [n, colors] : membership) {
-    (void)colors;
     if (db.Kind(n) != xml::NodeKind::kElement) continue;
+    expected[0] += static_cast<uint64_t>(colors.count());
     if (db.store().HasContent(n)) {
+      ++expected[1];
       auto hits = db.ContentLookup(db.Tag(n), db.Content(n));
       if (std::find(hits.begin(), hits.end(), n) == hits.end()) {
         fail(StrFormat("content index misses node %u", n));
       }
     }
     for (const NodeAttr& a : db.Attrs(n)) {
+      ++expected[2];
       auto hits = db.AttrLookup(db.store().names().Name(a.name), a.value);
       if (std::find(hits.begin(), hits.end(), n) == hits.end()) {
         fail(StrFormat("attribute index misses node %u", n));
       }
+    }
+  }
+  // Every expected entry is present, so a surplus is a stale entry.
+  const std::array<uint64_t, 3> held = db.ImageEntries();
+  const char* const kImages[] = {"tag", "content", "attribute"};
+  for (size_t i = 0; i < held.size(); ++i) {
+    if (held[i] != expected[i]) {
+      fail(StrFormat("%s index holds %llu entries, the store implies %llu",
+                     kImages[i], static_cast<unsigned long long>(held[i]),
+                     static_cast<unsigned long long>(expected[i])));
     }
   }
   return report;

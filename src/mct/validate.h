@@ -34,7 +34,9 @@ struct ValidationReport {
 ///     disjoint and ordered) and levels increment by one;
 ///  4. the tag index returns exactly the elements of each (color, tag);
 ///  5. content and attribute index probes find every stored value;
-///  6. dead nodes are members of no tree.
+///  6. dead nodes are members of no tree;
+///  7. each index image holds exactly the entries the store implies (no
+///     stale entry for a value a node no longer has).
 ValidationReport ValidateDatabase(MctDatabase& db);
 
 }  // namespace mct

@@ -17,9 +17,11 @@ namespace mct {
 /// Loads `elem`'s subtree into `db` under `parent` in `color`; returns the
 /// node created for `elem`. Text children become the element's content
 /// (concatenated); comments and processing instructions are dropped (the
-/// engine stores element structure and content, Section 6.2). Recurses
-/// once per level, so `elem` should come from xml::Parse, whose depth cap
-/// (xml::kMaxDepth) bounds the recursion.
+/// engine stores element structure and content, Section 6.2). The load
+/// runs in one MctDatabase::Loader, so each posting list is built once.
+/// Recurses once per level, and refuses (InvalidArgument) a subtree deeper
+/// than xml::kMaxDepth, the depth xml::Parse accepts; the elements loaded
+/// before the refusal stay, indexed.
 Result<NodeId> LoadXmlElement(MctDatabase* db, ColorId color, NodeId parent,
                               const xml::Element& elem);
 

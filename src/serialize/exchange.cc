@@ -266,17 +266,18 @@ Result<std::string> ExportXml(MctDatabase* db,
 
 namespace {
 
-struct PendingEdge {
+// A colored-tree edge the import attaches once every element exists:
+// `child` under `parent` in `color`, ranked among that parent's children
+// by `rank`. A nested edge ranks by its explicit mct.pos, else by its
+// sequence among the parent's nested children in that color; a reference
+// ranks by its mct.pos (0 when absent, after every nested child when
+// negative). Equal ranks keep the order the edges were collected in:
+// nested edges in document order, then references.
+struct ImportEdge {
+  ColorId color;
+  NodeId parent;
   NodeId child;
-  int pos;       // explicit position or XML sequence fallback
-  int xml_seq;   // tie-breaker preserving document order
-};
-
-struct ImportState {
-  std::unique_ptr<MctDatabase> db;
-  std::unordered_map<std::string, NodeId> by_export_id;
-  // (parent, color) -> edges.
-  std::map<std::pair<NodeId, ColorId>, std::vector<PendingEdge>> edges;
+  int rank;
 };
 
 }  // namespace
@@ -287,18 +288,22 @@ Result<std::unique_ptr<MctDatabase>> ImportXml(const std::string& xml) {
     return Status::Corruption("not an MCT exchange document (missing <" +
                               std::string(kWrapperTag) + ">)");
   }
-  ImportState state;
-  state.db = std::make_unique<MctDatabase>();
+  auto out = std::make_unique<MctDatabase>();
+  MctDatabase* db = out.get();
+  MctDatabase::Loader loader(db);
   const std::string* colors = doc.root->FindAttr("colors");
   if (colors == nullptr) {
     return Status::Corruption("wrapper lacks the colors attribute");
   }
   for (const std::string& cname : SplitWhitespace(*colors)) {
-    MCT_RETURN_IF_ERROR(state.db->RegisterColor(cname).status());
+    MCT_RETURN_IF_ERROR(db->RegisterColor(cname).status());
   }
+  const size_t ncolors = db->num_colors();
 
   // Pass 1: create nodes, record nested edges; non-primary refs need the
   // id map completed first, so collect them textually.
+  std::unordered_map<std::string, NodeId> by_export_id;
+  std::vector<ImportEdge> edges;
   struct RawRef {
     NodeId child;
     ColorId color;
@@ -306,14 +311,16 @@ Result<std::unique_ptr<MctDatabase>> ImportXml(const std::string& xml) {
     int pos;
   };
   std::vector<RawRef> raw_refs;
+  // seq[d * ncolors + c]: the nested children in color c that the open
+  // element at depth d (the document is depth 0) has had so far.
+  std::vector<int> seq(ncolors, 0);
   // Recursive import of elements and nested edges; non-primary refs are
   // collected textually and resolved once the id map is complete. The
   // recursion is as deep as the document, which xml::Parse caps at
   // xml::kMaxDepth.
-  std::function<Result<NodeId>(const xml::Element&, NodeId, ColorId)> imp =
-      [&](const xml::Element& e, NodeId xml_parent,
-          ColorId parent_pc) -> Result<NodeId> {
-    MctDatabase* db = state.db.get();
+  std::function<Result<NodeId>(const xml::Element&, NodeId, ColorId, size_t)>
+      imp = [&](const xml::Element& e, NodeId xml_parent, ColorId parent_pc,
+                size_t depth) -> Result<NodeId> {
     MCT_ASSIGN_OR_RETURN(NodeId n, db->CreateFreeElement(e.name()));
     std::string pc_name;
     std::map<std::string, std::string> refs;
@@ -321,7 +328,7 @@ Result<std::unique_ptr<MctDatabase>> ImportXml(const std::string& xml) {
     bool orphan = false;
     for (const xml::Attr& a : e.attrs()) {
       if (a.name == "mct.id") {
-        state.by_export_id[a.value] = n;
+        by_export_id[a.value] = n;
       } else if (a.name == "mct.pc") {
         pc_name = a.value;
       } else if (a.name == "mct.orphan") {
@@ -347,15 +354,15 @@ Result<std::unique_ptr<MctDatabase>> ImportXml(const std::string& xml) {
                                 "> has no derivable primary color");
     }
     if (!orphan) {
-      int explicit_pos = -1;
-      auto pit = poss.find(state.db->ColorName(pc));
-      if (pit != poss.end()) explicit_pos = pit->second;
-      auto& vec = state.edges[{xml_parent, pc}];
-      vec.push_back(
-          PendingEdge{n, explicit_pos, static_cast<int>(vec.size())});
+      int& sibling_seq = seq[(depth - 1) * ncolors + pc];
+      auto pit = poss.find(db->ColorName(pc));
+      const int pos = pit != poss.end() ? pit->second : -1;
+      edges.push_back(
+          ImportEdge{pc, xml_parent, n, pos >= 0 ? pos : sibling_seq});
+      ++sibling_seq;
     }
     for (const auto& [cname, pid] : refs) {
-      ColorId c = state.db->LookupColor(cname);
+      ColorId c = db->LookupColor(cname);
       if (c == kInvalidColorId) {
         return Status::Corruption("unknown ref color '" + cname + "'");
       }
@@ -364,12 +371,15 @@ Result<std::unique_ptr<MctDatabase>> ImportXml(const std::string& xml) {
       if (pit != poss.end()) pos = pit->second;
       raw_refs.push_back(RawRef{n, c, pid, pos});
     }
+    seq.resize(std::max(seq.size(), (depth + 1) * ncolors));
+    std::fill_n(seq.begin() + static_cast<ptrdiff_t>(depth * ncolors),
+                ncolors, 0);
     std::string text;
     for (const auto& child : e.children()) {
       if (child->kind() == xml::NodeKind::kText) {
         text += child->text();
       } else if (child->kind() == xml::NodeKind::kElement) {
-        MCT_RETURN_IF_ERROR(imp(*child, n, pc).status());
+        MCT_RETURN_IF_ERROR(imp(*child, n, pc, depth + 1).status());
       }
     }
     if (!text.empty()) MCT_RETURN_IF_ERROR(db->SetContent(n, text));
@@ -379,51 +389,59 @@ Result<std::unique_ptr<MctDatabase>> ImportXml(const std::string& xml) {
   for (const auto& child : doc.root->children()) {
     if (child->kind() != xml::NodeKind::kElement) continue;
     MCT_RETURN_IF_ERROR(
-        imp(*child, state.db->document(), kInvalidColorId).status());
+        imp(*child, db->document(), kInvalidColorId, 1).status());
   }
 
   // Resolve raw refs into edges.
   for (const RawRef& r : raw_refs) {
     NodeId parent;
     if (r.parent_id == "doc") {
-      parent = state.db->document();
+      parent = db->document();
     } else {
-      auto it = state.by_export_id.find(r.parent_id);
-      if (it == state.by_export_id.end()) {
+      auto it = by_export_id.find(r.parent_id);
+      if (it == by_export_id.end()) {
         return Status::Corruption("dangling mct.ref to id " + r.parent_id);
       }
       parent = it->second;
     }
-    auto& vec = state.edges[{parent, r.color}];
-    vec.push_back(PendingEdge{r.child, r.pos, 1 << 20});
+    edges.push_back(
+        ImportEdge{r.color, parent, r.child, r.pos >= 0 ? r.pos : 1 << 20});
   }
 
-  // Order children within each (parent, color): explicit positions win,
-  // XML sequence breaks ties / fills in.
-  for (auto& [key, vec] : state.edges) {
-    std::stable_sort(vec.begin(), vec.end(),
-                     [](const PendingEdge& a, const PendingEdge& b) {
-                       int ka = a.pos >= 0 ? a.pos : a.xml_seq;
-                       int kb = b.pos >= 0 ? b.pos : b.xml_seq;
-                       return ka < kb;
-                     });
-  }
+  // Order each (color, parent)'s children by rank, keeping collection order
+  // among equal ranks.
+  std::stable_sort(edges.begin(), edges.end(),
+                   [](const ImportEdge& a, const ImportEdge& b) {
+                     if (a.color != b.color) return a.color < b.color;
+                     if (a.parent != b.parent) return a.parent < b.parent;
+                     return a.rank < b.rank;
+                   });
 
-  // Attach per color, top-down from the document.
-  for (ColorId c = 0; c < state.db->num_colors(); ++c) {
-    std::vector<NodeId> frontier{state.db->document()};
+  // Attach per color, top-down from the document. first[p]..first[p + 1]
+  // are the edges of the color under parent p.
+  std::vector<size_t> first(db->store().size() + 1);
+  size_t begin = 0;
+  for (ColorId c = 0; c < ncolors; ++c) {
+    size_t end = begin;
+    std::fill(first.begin(), first.end(), 0);
+    for (; end < edges.size() && edges[end].color == c; ++end) {
+      ++first[edges[end].parent + 1];
+    }
+    first[0] = begin;
+    for (size_t p = 1; p < first.size(); ++p) first[p] += first[p - 1];
+    std::vector<NodeId> frontier{db->document()};
     while (!frontier.empty()) {
       NodeId parent = frontier.back();
       frontier.pop_back();
-      auto it = state.edges.find({parent, c});
-      if (it == state.edges.end()) continue;
-      for (const PendingEdge& e : it->second) {
-        MCT_RETURN_IF_ERROR(state.db->AddNodeColor(e.child, c, parent));
-        frontier.push_back(e.child);
+      for (size_t i = first[parent]; i < first[parent + 1]; ++i) {
+        MCT_RETURN_IF_ERROR(db->AddNodeColor(edges[i].child, c, parent));
+        frontier.push_back(edges[i].child);
       }
     }
+    begin = end;
   }
-  return std::move(state.db);
+  loader.Finish();
+  return out;
 }
 
 bool DatabasesIsomorphic(const MctDatabase& a, const MctDatabase& b,

@@ -33,6 +33,13 @@
 // structural nodes, and writes straight into the output text with explicit
 // stacks (no DOM, no recursion), so its time is linear in the database and
 // any depth is written.
+//
+// ImportXml parses the text into a DOM (capped at xml::kMaxDepth levels),
+// creates the elements in document order, collects every colored-tree edge
+// (nested and referenced) in one flat vector that it stable-sorts once by
+// (color, parent, rank), and attaches each color top-down from the
+// document, all inside one MctDatabase::Loader, so each index posting list
+// is built once however the edges arrive.
 
 #ifndef COLORFUL_XML_SERIALIZE_EXCHANGE_H_
 #define COLORFUL_XML_SERIALIZE_EXCHANGE_H_

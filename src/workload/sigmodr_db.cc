@@ -113,10 +113,7 @@ Status AddArticlePayload(MctDatabase* db, NodeId n, ColorSet cs,
   return Status::OK();
 }
 
-Result<SigmodDb> BuildMct(const SigmodData& d) {
-  SigmodDb out;
-  out.kind = SchemaKind::kMct;
-  out.db = std::make_unique<MctDatabase>();
+Status BuildMct(const SigmodData& d, SigmodDb& out) {
   MctDatabase* db = out.db.get();
   MCT_ASSIGN_OR_RETURN(out.time, db->RegisterColor("time"));
   MCT_ASSIGN_OR_RETURN(out.topic, db->RegisterColor("topic"));
@@ -171,13 +168,10 @@ Result<SigmodDb> BuildMct(const SigmodData& d) {
         db->SetAttr(an, "topicIdRef", "t" + std::to_string(art.topic_id)));
     MCT_RETURN_IF_ERROR(AddArticlePayload(db, an, db->Colors(an), d, art));
   }
-  return out;
+  return Status::OK();
 }
 
-Result<SigmodDb> BuildShallow(const SigmodData& d) {
-  SigmodDb out;
-  out.kind = SchemaKind::kShallow;
-  out.db = std::make_unique<MctDatabase>();
+Status BuildShallow(const SigmodData& d, SigmodDb& out) {
   MctDatabase* db = out.db.get();
   MCT_ASSIGN_OR_RETURN(out.doc, db->RegisterColor("doc"));
   const ColorId c = out.doc;
@@ -224,13 +218,10 @@ Result<SigmodDb> BuildShallow(const SigmodData& d) {
         db->SetAttr(an, "topicIdRef", "t" + std::to_string(art.topic_id)));
     MCT_RETURN_IF_ERROR(AddArticlePayload(db, an, cs, d, art));
   }
-  return out;
+  return Status::OK();
 }
 
-Result<SigmodDb> BuildDeep(const SigmodData& d) {
-  SigmodDb out;
-  out.kind = SchemaKind::kDeep;
-  out.db = std::make_unique<MctDatabase>();
+Status BuildDeep(const SigmodData& d, SigmodDb& out) {
   MctDatabase* db = out.db.get();
   MCT_ASSIGN_OR_RETURN(out.doc, db->RegisterColor("doc"));
   const ColorId c = out.doc;
@@ -269,21 +260,32 @@ Result<SigmodDb> BuildDeep(const SigmodData& d) {
       }
     }
   }
-  return out;
+  return Status::OK();
 }
 
 }  // namespace
 
 Result<SigmodDb> BuildSigmod(const SigmodData& data, SchemaKind kind) {
+  SigmodDb out;
+  out.kind = kind;
+  out.db = std::make_unique<MctDatabase>();
+  // One bulk load: each index posting list is built once, at Finish.
+  MctDatabase::Loader loader(out.db.get());
   switch (kind) {
     case SchemaKind::kMct:
-      return BuildMct(data);
+      MCT_RETURN_IF_ERROR(BuildMct(data, out));
+      break;
     case SchemaKind::kShallow:
-      return BuildShallow(data);
+      MCT_RETURN_IF_ERROR(BuildShallow(data, out));
+      break;
     case SchemaKind::kDeep:
-      return BuildDeep(data);
+      MCT_RETURN_IF_ERROR(BuildDeep(data, out));
+      break;
+    default:
+      return Status::InvalidArgument("unknown schema kind");
   }
-  return Status::InvalidArgument("unknown schema kind");
+  loader.Finish();
+  return out;
 }
 
 }  // namespace mct::workload

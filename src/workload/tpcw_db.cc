@@ -20,10 +20,7 @@ Status AddField(MctDatabase* db, NodeId parent, ColorSet colors,
   return db->SetContent(field, content);
 }
 
-Result<TpcwDb> BuildMct(const TpcwData& d) {
-  TpcwDb out;
-  out.kind = SchemaKind::kMct;
-  out.db = std::make_unique<MctDatabase>();
+Status BuildMct(const TpcwData& d, TpcwDb& out) {
   MctDatabase* db = out.db.get();
   MCT_ASSIGN_OR_RETURN(out.cust, db->RegisterColor("cust"));
   MCT_ASSIGN_OR_RETURN(out.bill, db->RegisterColor("bill"));
@@ -150,13 +147,10 @@ Result<TpcwDb> BuildMct(const TpcwData& d) {
     MCT_RETURN_IF_ERROR(AddField(db, n, cs, "qty", std::to_string(ol.qty)));
     MCT_RETURN_IF_ERROR(AddField(db, n, cs, "discount", Money(ol.discount)));
   }
-  return out;
+  return Status::OK();
 }
 
-Result<TpcwDb> BuildShallow(const TpcwData& d) {
-  TpcwDb out;
-  out.kind = SchemaKind::kShallow;
-  out.db = std::make_unique<MctDatabase>();
+Status BuildShallow(const TpcwData& d, TpcwDb& out) {
   MctDatabase* db = out.db.get();
   MCT_ASSIGN_OR_RETURN(out.doc, db->RegisterColor("doc"));
   const ColorId c = out.doc;
@@ -238,13 +232,10 @@ Result<TpcwDb> BuildShallow(const TpcwData& d) {
     MCT_RETURN_IF_ERROR(field(n, "qty", std::to_string(ol.qty)));
     MCT_RETURN_IF_ERROR(field(n, "discount", Money(ol.discount)));
   }
-  return out;
+  return Status::OK();
 }
 
-Result<TpcwDb> BuildDeep(const TpcwData& d) {
-  TpcwDb out;
-  out.kind = SchemaKind::kDeep;
-  out.db = std::make_unique<MctDatabase>();
+Status BuildDeep(const TpcwData& d, TpcwDb& out) {
   MctDatabase* db = out.db.get();
   MCT_ASSIGN_OR_RETURN(out.doc, db->RegisterColor("doc"));
   const ColorId c = out.doc;
@@ -320,7 +311,7 @@ Result<TpcwDb> BuildDeep(const TpcwData& d) {
       }
     }
   }
-  return out;
+  return Status::OK();
 }
 
 }  // namespace
@@ -338,15 +329,26 @@ std::string_view SchemaKindName(SchemaKind k) {
 }
 
 Result<TpcwDb> BuildTpcw(const TpcwData& data, SchemaKind kind) {
+  TpcwDb out;
+  out.kind = kind;
+  out.db = std::make_unique<MctDatabase>();
+  // One bulk load: each index posting list is built once, at Finish.
+  MctDatabase::Loader loader(out.db.get());
   switch (kind) {
     case SchemaKind::kMct:
-      return BuildMct(data);
+      MCT_RETURN_IF_ERROR(BuildMct(data, out));
+      break;
     case SchemaKind::kShallow:
-      return BuildShallow(data);
+      MCT_RETURN_IF_ERROR(BuildShallow(data, out));
+      break;
     case SchemaKind::kDeep:
-      return BuildDeep(data);
+      MCT_RETURN_IF_ERROR(BuildDeep(data, out));
+      break;
+    default:
+      return Status::InvalidArgument("unknown schema kind");
   }
-  return Status::InvalidArgument("unknown schema kind");
+  loader.Finish();
+  return out;
 }
 
 }  // namespace mct::workload

@@ -470,6 +470,36 @@ TEST(MvccRetirementTest, FirstWriteCopiesOneBucketPerImageAtAnyScale) {
   EXPECT_EQ(growth["AddNodeColor"], colored_expected);
 }
 
+// A clone's first write of a name its pool already holds (a node of a
+// known tag, an attribute of a known name) leaves the name pool shared
+// with its source; only a new name privatizes it, and only the clone's
+// copy learns that name.
+TEST(MvccRetirementTest, KnownNamesLeaveTheNamePoolShared) {
+  auto t = workload::BuildTpcw(
+      workload::GenerateTpcw(workload::TpcwScale::Tiny()),
+      workload::SchemaKind::kMct);
+  ASSERT_TRUE(t.ok()) << t.status();
+  MctDatabase& db = *t->db;
+  const NodeId customer = db.TagScan(t->cust, "customer").front();
+  auto clone = db.CowClone();
+  auto fresh = clone->CreateFreeElement("customer");
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_TRUE(clone->SetAttr(*fresh, "id", "c-fresh").ok());
+  ASSERT_TRUE(clone->SetAttr(customer, "id", "c-renamed").ok());
+  EXPECT_EQ(&clone->store().names(), &db.store().names());
+
+  ASSERT_TRUE(clone->SetAttr(customer, "loyalty", "gold").ok());
+  EXPECT_NE(&clone->store().names(), &db.store().names());
+  EXPECT_NE(clone->store().names().Lookup("loyalty"), kInvalidNameId);
+  EXPECT_EQ(db.store().names().Lookup("loyalty"), kInvalidNameId);
+
+  auto other = db.CowClone();
+  ASSERT_TRUE(other->CreateFreeElement("wishlist").ok());
+  EXPECT_NE(&other->store().names(), &db.store().names());
+  EXPECT_EQ(db.store().names().Lookup("wishlist"), kInvalidNameId);
+  EXPECT_EQ(*db.FindAttr(customer, "id"), "c0");
+}
+
 // The gauges are written from authoritative state under the manager mutex,
 // so a ResetForTest racing live traffic heals on the next transition
 // instead of drifting by a lost delta.

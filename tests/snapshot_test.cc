@@ -2,7 +2,11 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string_view>
 
+#include "common/crc32c.h"
 #include "common/rng.h"
 #include "mct/snapshot.h"
 #include "movie_fixture.h"
@@ -90,6 +94,45 @@ TEST(SnapshotTest, TpcwFiveColorRoundTrip) {
   EXPECT_EQ(lines.size(), data.orderlines.size());
   for (NodeId l : lines) {
     EXPECT_TRUE((*loaded)->Colors(l).Has(auth));
+  }
+  std::filesystem::remove(path);
+}
+
+// The snapshot bytes of the workload databases are pinned, so a change to
+// the writer or to how the databases load that alters one byte fails here:
+// the CRC32C the trailer stores (over every preceding byte) and the file
+// size.
+TEST(SnapshotTest, WorkloadSnapshotsArePinned) {
+  using namespace workload;
+  struct Pin {
+    const char* dataset;
+    uint32_t crc32c;
+    uint64_t bytes;
+  };
+  const Pin kPinned[] = {
+      {"tpcw", 2001636615u, 486674},
+      {"sigmod", 2262512844u, 4662},
+  };
+  auto tpcw = BuildTpcw(GenerateTpcw(TpcwScale::Default().ScaledBy(0.05)),
+                        SchemaKind::kMct);
+  ASSERT_TRUE(tpcw.ok()) << tpcw.status();
+  auto sigmod =
+      BuildSigmod(GenerateSigmod(SigmodScale::Default().ScaledBy(0.05)),
+                  SchemaKind::kMct);
+  ASSERT_TRUE(sigmod.ok()) << sigmod.status();
+  const std::string path = TempPath("pinned.snap");
+  for (const Pin& pin : kPinned) {
+    SCOPED_TRACE(pin.dataset);
+    MctDatabase& db =
+        std::string(pin.dataset) == "tpcw" ? *tpcw->db : *sigmod->db;
+    ASSERT_TRUE(SaveSnapshot(db, path).ok());
+    std::ifstream in(path, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    ASSERT_GT(bytes.size(), 4u);
+    EXPECT_EQ(Crc32c(std::string_view(bytes).substr(0, bytes.size() - 4)),
+              pin.crc32c);
+    EXPECT_EQ(bytes.size(), pin.bytes);
   }
   std::filesystem::remove(path);
 }
