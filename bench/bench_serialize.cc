@@ -4,7 +4,8 @@
 // (a) the worst ranked scheme and (b) per-type pessimal choices, and
 // validates the round trip (export -> parse -> import -> isomorphic).
 // Last, it times the loaders (BuildTpcw, snapshot save and open, exchange
-// export and import) at --scale and at twice that scale and prints each
+// export and import, and a bare xml::Tokenizer pass over the exported text,
+// import's first layer) at --scale and at twice that scale and prints each
 // one's growth ratio (2.0 is linear).
 
 #include <algorithm>
@@ -22,6 +23,7 @@
 #include "serialize/schema.h"
 #include "workload/sigmodr_db.h"
 #include "workload/tpcw_db.h"
+#include "xml/tokenizer.h"
 
 namespace {
 
@@ -90,8 +92,10 @@ double Median(std::vector<double> v) {
 
 // Times the loaders of MCT TPC-W at `scale` and at twice that scale,
 // interleaved (each repetition runs both scales): BuildTpcw from generated
-// data, SaveSnapshot then OpenSnapshot, and ExportXml then ImportXml.
-// Reports the median of 3 and each step's growth ratio.
+// data, SaveSnapshot then OpenSnapshot, ExportXml, a bare tokenizer pass
+// over the exported text, then ImportXml (which reads through the same
+// tokenizer and builds and indexes the database). Reports the median of 3
+// and each step's growth ratio.
 void RunGrowth(double scale) {
   constexpr int kReps = 3;
   struct Side {
@@ -99,8 +103,10 @@ void RunGrowth(double scale) {
     TpcwData data;
     std::unique_ptr<MctDatabase> db;
     SerializationScheme scheme;
-    std::vector<double> build_s, save_s, open_s, export_s, import_s;
+    std::vector<double> build_s, save_s, open_s, export_s, tokenize_s,
+        import_s;
     size_t bytes = 0;
+    size_t tokens = 0;
   };
   auto die = [](const char* what, const Status& s) {
     std::fprintf(stderr, "%s failed: %s\n", what, s.ToString().c_str());
@@ -140,6 +146,17 @@ void RunGrowth(double scale) {
       side.export_s.push_back(te.ElapsedSeconds());
       if (!xml.ok()) die("export", xml.status());
       side.bytes = xml->size();
+      Timer tt;
+      xml::Tokenizer tokenizer(*xml);
+      size_t tokens = 0;
+      while (true) {
+        auto tok = tokenizer.Next();
+        if (!tok.ok()) die("tokenize", tok.status());
+        if (tok->kind == xml::TokenKind::kEndOfDocument) break;
+        ++tokens;
+      }
+      side.tokenize_s.push_back(tt.ElapsedSeconds());
+      side.tokens = tokens;
       Timer ti;
       auto imported = ImportXml(*xml);
       side.import_s.push_back(ti.ElapsedSeconds());
@@ -151,21 +168,22 @@ void RunGrowth(double scale) {
               "interleaved):\n",
               kReps);
   for (const Side& side : sides) {
-    std::printf("  scale %-6g nodes %8zu  bytes %10zu  build %7.3fs  "
-                "save %7.3fs  open %7.3fs  export %7.3fs  import %7.3fs\n",
-                side.scale, side.db->store().size(), side.bytes,
+    std::printf("  scale %-6g nodes %8zu  bytes %10zu  tokens %8zu  "
+                "build %7.3fs  save %7.3fs  open %7.3fs  export %7.3fs  "
+                "tokenize %7.3fs  import %7.3fs\n",
+                side.scale, side.db->store().size(), side.bytes, side.tokens,
                 Median(side.build_s), Median(side.save_s),
                 Median(side.open_s), Median(side.export_s),
-                Median(side.import_s));
+                Median(side.tokenize_s), Median(side.import_s));
   }
   auto growth = [&](std::vector<double> Side::*times) {
     return Median(sides[1].*times) / Median(sides[0].*times);
   };
   std::printf("  growth (x2 data): build %.2f  save %.2f  open %.2f  "
-              "export %.2f  import %.2f  (2.00 is linear)\n",
+              "export %.2f  tokenize %.2f  import %.2f  (2.00 is linear)\n",
               growth(&Side::build_s), growth(&Side::save_s),
               growth(&Side::open_s), growth(&Side::export_s),
-              growth(&Side::import_s));
+              growth(&Side::tokenize_s), growth(&Side::import_s));
 }
 
 }  // namespace

@@ -137,6 +137,7 @@ Result<RecoveredDatabase> RecoverDatabase(const std::string& dir,
                           rec.payload.size() - sizeof(default_color));
     mcx::EvalOptions opts;
     opts.default_color = default_color;
+    opts.planner = true;  // as the statement was planned when it ran
     mcx::Evaluator ev(out.db.get(), opts);
     auto r = ev.Run(text);
     if (!r.ok()) {
@@ -201,6 +202,7 @@ Result<mcx::QueryResult> DurableSession::Run(std::string_view text,
                                              bool sync_each) {
   mcx::EvalOptions opts;
   opts.default_color = default_color;
+  opts.planner = true;  // as ColorServer plans its commits
   opts.wal = wal_.get();
   opts.wal_sync_each = sync_each;
   mcx::Evaluator ev(db_.get(), opts);

@@ -4,6 +4,8 @@
 #include <array>
 #include <map>
 #include <set>
+#include <string_view>
+#include <tuple>
 #include <unordered_set>
 
 #include "common/strings.h"
@@ -130,26 +132,57 @@ ValidationReport ValidateDatabase(MctDatabase& db) {
     }
   }
   // Expected entries per image: one per (element, color), per indexed
-  // content and per indexed attribute.
+  // content and per indexed attribute. The content and attribute probes
+  // run once per distinct (name, value), since one probe compares every
+  // node under the value's hash: once per node, n nodes sharing a value
+  // would cost n^2 string compares.
+  struct Probe {
+    NameId name;  // the tag for content, the attribute's name
+    std::string_view value;
+    NodeId node;
+    bool operator<(const Probe& o) const {
+      return std::tie(name, value, node) < std::tie(o.name, o.value, o.node);
+    }
+  };
+  std::vector<Probe> contents, attrs;
   std::array<uint64_t, 3> expected{};
   for (const auto& [n, colors] : membership) {
     if (db.Kind(n) != xml::NodeKind::kElement) continue;
     expected[0] += static_cast<uint64_t>(colors.count());
     if (db.store().HasContent(n)) {
-      ++expected[1];
-      auto hits = db.ContentLookup(db.Tag(n), db.Content(n));
-      if (std::find(hits.begin(), hits.end(), n) == hits.end()) {
-        fail(StrFormat("content index misses node %u", n));
-      }
+      contents.push_back(Probe{db.TagId(n), db.Content(n), n});
     }
     for (const NodeAttr& a : db.Attrs(n)) {
-      ++expected[2];
-      auto hits = db.AttrLookup(db.store().names().Name(a.name), a.value);
-      if (std::find(hits.begin(), hits.end(), n) == hits.end()) {
-        fail(StrFormat("attribute index misses node %u", n));
-      }
+      attrs.push_back(Probe{a.name, a.value, n});
     }
   }
+  expected[1] = contents.size();
+  expected[2] = attrs.size();
+  // Probes each group of equal (name, value) once; every member must be
+  // among the hits.
+  auto check = [&](std::vector<Probe>& probes, const char* what,
+                   auto&& lookup) {
+    std::sort(probes.begin(), probes.end());
+    for (size_t i = 0; i < probes.size();) {
+      const Probe& first = probes[i];
+      std::vector<NodeId> hits =
+          lookup(db.store().names().Name(first.name), first.value);
+      std::sort(hits.begin(), hits.end());
+      for (; i < probes.size() && probes[i].name == first.name &&
+             probes[i].value == first.value;
+           ++i) {
+        if (!std::binary_search(hits.begin(), hits.end(), probes[i].node)) {
+          fail(StrFormat("%s index misses node %u", what, probes[i].node));
+        }
+      }
+    }
+  };
+  check(contents, "content", [&](std::string_view tag, std::string_view v) {
+    return db.ContentLookup(tag, v);
+  });
+  check(attrs, "attribute", [&](std::string_view name, std::string_view v) {
+    return db.AttrLookup(name, v);
+  });
   // Every expected entry is present, so a surplus is a stale entry.
   const std::array<uint64_t, 3> held = db.ImageEntries();
   const char* const kImages[] = {"tag", "content", "attribute"};

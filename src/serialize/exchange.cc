@@ -1,16 +1,15 @@
 #include "serialize/exchange.h"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
-#include <functional>
-#include <map>
+#include <optional>
 #include <string_view>
 #include <unordered_map>
 
 #include "common/strings.h"
-#include "xml/dom.h"
 #include "xml/escape.h"
-#include "xml/parser.h"
+#include "xml/tokenizer.h"
 
 namespace mct::serialize {
 
@@ -280,127 +279,177 @@ struct ImportEdge {
   int rank;
 };
 
-}  // namespace
+// A parent pointer (mct.ref.<color>), resolved once every mct.id is known:
+// to the document, or to the element whose mct.id is `parent_id`.
+struct ImportRef {
+  NodeId child;
+  ColorId color;
+  bool to_document;
+  uint64_t parent_id;
+  int pos;
+};
 
-Result<std::unique_ptr<MctDatabase>> ImportXml(const std::string& xml) {
-  MCT_ASSIGN_OR_RETURN(xml::Document doc, xml::Parse(xml));
-  if (doc.root->name() != kWrapperTag) {
+// An element open around the tokenizer's cursor, with its primary color
+// and its text so far.
+struct OpenElement {
+  NodeId node = kInvalidNodeId;
+  ColorId pc = kInvalidColorId;
+  std::string text;
+};
+
+// A whole decimal integer, as ExportXml writes ids.
+std::optional<uint64_t> ParseExportId(std::string_view s) {
+  uint64_t v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || end != s.data() + s.size()) return std::nullopt;
+  return v;
+}
+
+Status Malformed(std::string_view attr, std::string_view value) {
+  return Status::Corruption("malformed " + std::string(attr) + " value '" +
+                            std::string(value) + "'");
+}
+
+// Reads the exchange document from `tok` into the empty `db`.
+Status Import(xml::Tokenizer* tok, MctDatabase* db) {
+  MCT_ASSIGN_OR_RETURN(const xml::Token wrapper, tok->Next());
+  if (wrapper.name != kWrapperTag) {
     return Status::Corruption("not an MCT exchange document (missing <" +
                               std::string(kWrapperTag) + ">)");
   }
-  auto out = std::make_unique<MctDatabase>();
-  MctDatabase* db = out.get();
   MctDatabase::Loader loader(db);
-  const std::string* colors = doc.root->FindAttr("colors");
+  const xml::TokenAttr* colors = nullptr;
+  for (const xml::TokenAttr& a : wrapper.attrs) {
+    if (a.name == "colors") colors = &a;
+  }
   if (colors == nullptr) {
     return Status::Corruption("wrapper lacks the colors attribute");
   }
-  for (const std::string& cname : SplitWhitespace(*colors)) {
+  for (const std::string& cname : SplitWhitespace(colors->value)) {
     MCT_RETURN_IF_ERROR(db->RegisterColor(cname).status());
   }
   const size_t ncolors = db->num_colors();
 
-  // Pass 1: create nodes, record nested edges; non-primary refs need the
-  // id map completed first, so collect them textually.
-  std::unordered_map<std::string, NodeId> by_export_id;
+  // Create the elements in document order and collect their edges: nested
+  // ones as they are read, parent pointers once every mct.id is known.
+  std::unordered_map<uint64_t, NodeId> by_export_id;
   std::vector<ImportEdge> edges;
-  struct RawRef {
-    NodeId child;
-    ColorId color;
-    std::string parent_id;
-    int pos;
-  };
-  std::vector<RawRef> raw_refs;
+  std::vector<ImportRef> refs;
   // seq[d * ncolors + c]: the nested children in color c that the open
   // element at depth d (the document is depth 0) has had so far.
   std::vector<int> seq(ncolors, 0);
-  // Recursive import of elements and nested edges; non-primary refs are
-  // collected textually and resolved once the id map is complete. The
-  // recursion is as deep as the document, which xml::Parse caps at
-  // xml::kMaxDepth.
-  std::function<Result<NodeId>(const xml::Element&, NodeId, ColorId, size_t)>
-      imp = [&](const xml::Element& e, NodeId xml_parent, ColorId parent_pc,
-                size_t depth) -> Result<NodeId> {
-    MCT_ASSIGN_OR_RETURN(NodeId n, db->CreateFreeElement(e.name()));
-    std::string pc_name;
-    std::map<std::string, std::string> refs;
-    std::map<std::string, int> poss;
+  // open[0] is the wrapper, standing for the document; open[1, depth) are
+  // the open elements. Entries past `depth` keep their text buffers.
+  std::vector<OpenElement> open(1);
+  open[0].node = db->document();
+  size_t depth = 1;
+  // One element's mct.ref.<c> and mct.pos.<c>, by color, and which are set.
+  std::array<uint64_t, kMaxColors> ref_id{};
+  std::array<int, kMaxColors> pos{};
+  while (depth > 0) {
+    MCT_ASSIGN_OR_RETURN(const xml::Token t, tok->Next());
+    if (t.kind == xml::TokenKind::kText) {
+      if (depth > 1) open[depth - 1].text.append(t.text);
+      continue;
+    }
+    if (t.kind == xml::TokenKind::kEndElement) {
+      const OpenElement& e = open[--depth];
+      if (depth > 0 && !e.text.empty()) {
+        MCT_RETURN_IF_ERROR(db->SetContent(e.node, e.text));
+      }
+      continue;
+    }
+    if (t.kind != xml::TokenKind::kStartElement) continue;
+
+    MCT_ASSIGN_OR_RETURN(const NodeId n, db->CreateFreeElement(t.name));
+    uint64_t ref_mask = 0, doc_mask = 0, pos_mask = 0;
+    std::string_view pc_name;
     bool orphan = false;
-    for (const xml::Attr& a : e.attrs()) {
+    // The least name among refs in colors the palette lacks, if any.
+    std::optional<std::string_view> unknown_ref;
+    for (const xml::TokenAttr& a : t.attrs) {
       if (a.name == "mct.id") {
-        by_export_id[a.value] = n;
+        const std::optional<uint64_t> id = ParseExportId(a.value);
+        if (!id) return Malformed(a.name, a.value);
+        by_export_id[*id] = n;
       } else if (a.name == "mct.pc") {
         pc_name = a.value;
       } else if (a.name == "mct.orphan") {
         orphan = true;
-      } else if (StartsWith(a.name, "mct.ref.")) {
-        refs[a.name.substr(8)] = a.value;
-      } else if (StartsWith(a.name, "mct.pos.")) {
-        poss[a.name.substr(8)] =
-            static_cast<int>(ParseInt(a.value).value_or(0));
+      } else if (a.name.starts_with("mct.ref.")) {
+        const std::string_view cname = a.name.substr(8);
+        const ColorId c = db->LookupColor(cname);
+        if (c == kInvalidColorId) {
+          if (!unknown_ref || cname < *unknown_ref) unknown_ref = cname;
+          continue;
+        }
+        const uint64_t bit = uint64_t{1} << c;
+        ref_mask |= bit;
+        if (a.value == "doc") {
+          doc_mask |= bit;
+          continue;
+        }
+        const std::optional<uint64_t> id = ParseExportId(a.value);
+        if (!id) return Malformed(a.name, a.value);
+        ref_id[c] = *id;
+      } else if (a.name.starts_with("mct.pos.")) {
+        const ColorId c = db->LookupColor(a.name.substr(8));
+        if (c == kInvalidColorId) continue;
+        pos[c] = static_cast<int>(ParseInt(a.value).value_or(0));
+        pos_mask |= uint64_t{1} << c;
       } else {
         MCT_RETURN_IF_ERROR(db->SetAttr(n, a.name, a.value));
       }
     }
-    ColorId pc = parent_pc;
+    auto pos_of = [&](ColorId c, int absent) {
+      return (pos_mask >> c & 1) != 0 ? pos[c] : absent;
+    };
+    ColorId pc = open[depth - 1].pc;
     if (!pc_name.empty()) {
       pc = db->LookupColor(pc_name);
       if (pc == kInvalidColorId) {
-        return Status::Corruption("unknown primary color '" + pc_name + "'");
+        return Status::Corruption("unknown primary color '" +
+                                  std::string(pc_name) + "'");
       }
     }
     if (pc == kInvalidColorId) {
-      return Status::Corruption("element <" + e.name() +
+      return Status::Corruption("element <" + std::string(t.name) +
                                 "> has no derivable primary color");
     }
     if (!orphan) {
       int& sibling_seq = seq[(depth - 1) * ncolors + pc];
-      auto pit = poss.find(db->ColorName(pc));
-      const int pos = pit != poss.end() ? pit->second : -1;
+      const int p = pos_of(pc, -1);
       edges.push_back(
-          ImportEdge{pc, xml_parent, n, pos >= 0 ? pos : sibling_seq});
+          ImportEdge{pc, open[depth - 1].node, n, p >= 0 ? p : sibling_seq});
       ++sibling_seq;
     }
-    for (const auto& [cname, pid] : refs) {
-      ColorId c = db->LookupColor(cname);
-      if (c == kInvalidColorId) {
-        return Status::Corruption("unknown ref color '" + cname + "'");
-      }
-      int pos = 0;
-      auto pit = poss.find(cname);
-      if (pit != poss.end()) pos = pit->second;
-      raw_refs.push_back(RawRef{n, c, pid, pos});
+    if (unknown_ref) {
+      return Status::Corruption("unknown ref color '" +
+                                std::string(*unknown_ref) + "'");
     }
+    ColorSet(ref_mask).ForEach([&](ColorId c) {
+      refs.push_back(ImportRef{n, c, (doc_mask >> c & 1) != 0, ref_id[c],
+                               pos_of(c, 0)});
+    });
     seq.resize(std::max(seq.size(), (depth + 1) * ncolors));
     std::fill_n(seq.begin() + static_cast<ptrdiff_t>(depth * ncolors),
                 ncolors, 0);
-    std::string text;
-    for (const auto& child : e.children()) {
-      if (child->kind() == xml::NodeKind::kText) {
-        text += child->text();
-      } else if (child->kind() == xml::NodeKind::kElement) {
-        MCT_RETURN_IF_ERROR(imp(*child, n, pc, depth + 1).status());
-      }
-    }
-    if (!text.empty()) MCT_RETURN_IF_ERROR(db->SetContent(n, text));
-    return n;
-  };
-
-  for (const auto& child : doc.root->children()) {
-    if (child->kind() != xml::NodeKind::kElement) continue;
-    MCT_RETURN_IF_ERROR(
-        imp(*child, db->document(), kInvalidColorId, 1).status());
+    if (open.size() == depth) open.emplace_back();
+    open[depth].node = n;
+    open[depth].pc = pc;
+    open[depth].text.clear();
+    ++depth;
   }
+  // Only whitespace, comments and processing instructions may follow.
+  MCT_RETURN_IF_ERROR(tok->Next().status());
 
-  // Resolve raw refs into edges.
-  for (const RawRef& r : raw_refs) {
-    NodeId parent;
-    if (r.parent_id == "doc") {
-      parent = db->document();
-    } else {
+  for (const ImportRef& r : refs) {
+    NodeId parent = db->document();
+    if (!r.to_document) {
       auto it = by_export_id.find(r.parent_id);
       if (it == by_export_id.end()) {
-        return Status::Corruption("dangling mct.ref to id " + r.parent_id);
+        return Status::Corruption("dangling mct.ref to id " +
+                                  std::to_string(r.parent_id));
       }
       parent = it->second;
     }
@@ -441,7 +490,22 @@ Result<std::unique_ptr<MctDatabase>> ImportXml(const std::string& xml) {
     begin = end;
   }
   loader.Finish();
-  return out;
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<std::unique_ptr<MctDatabase>> ImportXml(const std::string& xml) {
+  xml::Tokenizer tok(xml);
+  auto db = std::make_unique<MctDatabase>();
+  const Status imported = Import(&tok, db.get());
+  if (imported.ok()) return db;
+  // Malformed text is refused as such, whatever else is wrong with it: read
+  // on to the end of the document (the tokenizer repeats its own error).
+  while (true) {
+    MCT_ASSIGN_OR_RETURN(const xml::Token t, tok.Next());
+    if (t.kind == xml::TokenKind::kEndOfDocument) return imported;
+  }
 }
 
 bool DatabasesIsomorphic(const MctDatabase& a, const MctDatabase& b,

@@ -10,7 +10,8 @@
 // color by color, each color in its colored tree's local order. An
 // element's own content is its first child, as text. Bookkeeping
 // attributes, written before the user's, carry what nesting alone cannot:
-//   mct.id="<id>"          the node's id, when another element refers to it
+//   mct.id="<id>"          the node's id (a decimal integer), when another
+//                          element refers to it
 //   mct.pc="<color>"       the primary color, when it differs from the
 //                          enclosing element's (so always at top level);
 //                          it plays the role of the paper's c+/c- shading
@@ -19,8 +20,8 @@
 //   mct.orphan="1"         the element sits in a cross-color nesting cycle,
 //                          which Section 5.3 assumes away, so it is written
 //                          at top level and its primary parent is a ref too
-//   mct.ref.<color>="<id>" its parent in a non-primary color; "doc" for the
-//                          document
+//   mct.ref.<color>="<id>" its parent in a non-primary color: the parent's
+//                          mct.id, or "doc" for the document
 //   mct.pos.<color>="<k>"  its rank among that parent's element children:
 //                          with every ref, and in the primary color when the
 //                          parent mixes nested children with referenced or
@@ -34,12 +35,17 @@
 // stacks (no DOM, no recursion), so its time is linear in the database and
 // any depth is written.
 //
-// ImportXml parses the text into a DOM (capped at xml::kMaxDepth levels),
-// creates the elements in document order, collects every colored-tree edge
-// (nested and referenced) in one flat vector that it stable-sorts once by
-// (color, parent, rank), and attaches each color top-down from the
-// document, all inside one MctDatabase::Loader, so each index posting list
-// is built once however the edges arrive.
+// ImportXml reads the text through xml::Tokenizer, building no DOM: it
+// keeps the open elements (node, primary color, text so far) on an
+// explicit stack, so it takes any depth, and it creates the elements in
+// document order. It keys export ids by their integer value and holds one
+// element's mct.ref and mct.pos values in per-color slots. It collects
+// every colored-tree edge (nested and referenced) in one flat vector that
+// it stable-sorts once by (color, parent, rank), and attaches each color
+// top-down from the document, all inside one MctDatabase::Loader, so each
+// index posting list is built once however the edges arrive. Malformed
+// text is a ParseError, as xml::Parse reports it, whatever else is wrong
+// with the document.
 
 #ifndef COLORFUL_XML_SERIALIZE_EXCHANGE_H_
 #define COLORFUL_XML_SERIALIZE_EXCHANGE_H_
@@ -74,7 +80,9 @@ Result<std::string> ExportXml(MctDatabase* db,
                               const SerializationScheme& scheme,
                               ExportStats* stats = nullptr);
 
-/// Reconstructs an MCT database from ExportXml output.
+/// Reconstructs an MCT database from ExportXml output, at any depth.
+/// ParseError for malformed XML; Corruption for well-formed text that is
+/// not a valid exchange document.
 Result<std::unique_ptr<MctDatabase>> ImportXml(const std::string& xml);
 
 /// Deep structural equality of two MCT databases (same colors, isomorphic

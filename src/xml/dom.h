@@ -1,6 +1,8 @@
-// A lightweight owning DOM used as the XML exchange surface (parsing
-// serialized MCT databases, Section 5) and by the workload generators.
-// The database's resident representation is mct::NodeStore, not this DOM.
+// A lightweight owning DOM, built by xml::Parse for LoadXmlText (ordinary
+// XML into a single-color hierarchy) and by tests. The exchange format of
+// Section 5 does not use it: ExportXml writes text directly and ImportXml
+// reads xml::Tokenizer's tokens. The database's resident representation is
+// mct::NodeStore, not this DOM.
 
 #ifndef COLORFUL_XML_XML_DOM_H_
 #define COLORFUL_XML_XML_DOM_H_
@@ -81,8 +83,9 @@ class Element {
   std::string name_;
   std::string text_;
   std::vector<Attr> attrs_;
-  // Destruction recurses through children_ once per level; xml::Parse caps
-  // the depth of the trees it builds (kMaxDepth in xml/parser.h).
+  // Destruction, StringValue and SubtreeSize recurse through children_ once
+  // per level; xml::Parse caps the depth of the trees it builds (kMaxDepth
+  // in xml/parser.h) for them.
   std::vector<std::unique_ptr<Element>> children_;
 };
 

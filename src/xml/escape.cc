@@ -1,5 +1,6 @@
 #include "xml/escape.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/strings.h"
@@ -61,29 +62,32 @@ void EscapeAttr(std::string_view s, std::string* out) {
 Result<std::string> Unescape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
+  MCT_RETURN_IF_ERROR(AppendUnescaped(s, &out));
+  return out;
+}
+
+Status AppendUnescaped(std::string_view s, std::string* out) {
   size_t i = 0;
   while (i < s.size()) {
-    char c = s[i];
-    if (c != '&') {
-      out.push_back(c);
-      ++i;
-      continue;
-    }
+    const size_t amp = std::min(s.find('&', i), s.size());
+    out->append(s.data() + i, amp - i);
+    if (amp == s.size()) break;
+    i = amp;
     size_t semi = s.find(';', i + 1);
     if (semi == std::string_view::npos) {
       return Status::ParseError("unterminated entity reference");
     }
     std::string_view ent = s.substr(i + 1, semi - i - 1);
     if (ent == "amp") {
-      out.push_back('&');
+      out->push_back('&');
     } else if (ent == "lt") {
-      out.push_back('<');
+      out->push_back('<');
     } else if (ent == "gt") {
-      out.push_back('>');
+      out->push_back('>');
     } else if (ent == "quot") {
-      out.push_back('"');
+      out->push_back('"');
     } else if (ent == "apos") {
-      out.push_back('\'');
+      out->push_back('\'');
     } else if (!ent.empty() && ent[0] == '#') {
       long code;
       char* end = nullptr;
@@ -107,26 +111,26 @@ Result<std::string> Unescape(std::string_view s) {
       }
       uint32_t cp = static_cast<uint32_t>(code);
       if (cp < 0x80) {
-        out.push_back(static_cast<char>(cp));
+        out->push_back(static_cast<char>(cp));
       } else if (cp < 0x800) {
-        out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
-        out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+        out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
+        out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
       } else if (cp < 0x10000) {
-        out.push_back(static_cast<char>(0xE0 | (cp >> 12)));
-        out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-        out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+        out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
+        out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+        out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
       } else {
-        out.push_back(static_cast<char>(0xF0 | (cp >> 18)));
-        out.push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
-        out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-        out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+        out->push_back(static_cast<char>(0xF0 | (cp >> 18)));
+        out->push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
+        out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+        out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
       }
     } else {
       return Status::ParseError("unknown entity: &" + std::string(ent) + ";");
     }
     i = semi + 1;
   }
-  return out;
+  return Status::OK();
 }
 
 }  // namespace mct::xml

@@ -21,6 +21,9 @@ void EscapeAttr(std::string_view s, std::string* out);
 /// references. ParseError on an unknown or malformed entity.
 Result<std::string> Unescape(std::string_view s);
 
+/// Unescape, appending to `out`; on error `out` holds a prefix.
+Status AppendUnescaped(std::string_view s, std::string* out);
+
 }  // namespace mct::xml
 
 #endif  // COLORFUL_XML_XML_ESCAPE_H_

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <memory>
 #include <string>
 
@@ -344,6 +346,80 @@ TEST(RecoveryTest, MetricsCountAppendsFsyncsAndReplays) {
   EXPECT_EQ(m.counter("mct.recovery.count")->value(), 2u);  // Open + this
   EXPECT_EQ(m.counter("mct.recovery.replayed_records")->value(), 2u);
   EXPECT_EQ(m.counter("mct.recovery.torn_tails")->value(), 0u);
+}
+
+/// A snapshot's bytes, written through `env`.
+std::string SnapshotBytes(MctDatabase& db, FaultInjectionEnv* env,
+                          const std::string& path) {
+  EXPECT_TRUE(SaveSnapshot(db, path, env).ok());
+  auto bytes = env->ReadFileToString(path);
+  EXPECT_TRUE(bytes.ok()) << bytes.status();
+  return bytes.ok() ? *bytes : std::string();
+}
+
+// DurableSession::Run and RecoverDatabase plan each statement, as the
+// serving layer does, and planning changes no result: a WAL replayed by
+// RecoverDatabase and the same records run planner-off on the same
+// checkpoint build the same node ids and the same snapshot bytes.
+TEST(RecoveryTest, PlannedReplayMatchesPlannerOffReplay) {
+  Counter* planned =
+      MetricsRegistry::Global().counter("mct.planner.statements");
+  FaultInjectionEnv env;
+  {
+    auto s = DurableSession::Open(kDir, &env);
+    ASSERT_TRUE(s.ok()) << s.status();
+    ASSERT_TRUE((*s)->Bootstrap(BuildMovieDb().db).ok());
+    for (const char* update : kUpdates) {
+      const uint64_t before = planned->value();
+      auto r = (*s)->Run(update);
+      ASSERT_TRUE(r.ok()) << r.status();
+      EXPECT_GT(planned->value(), before) << "ran unplanned: " << update;
+    }
+  }
+  env.SimulateCrash();
+  const uint64_t before_replay = planned->value();
+  auto rec = RecoverDatabase(kDir, &env);
+  ASSERT_TRUE(rec.ok()) << rec.status();
+  ASSERT_EQ(rec->replayed_records, std::size(kUpdates));
+  EXPECT_GE(planned->value() - before_replay, std::size(kUpdates))
+      << "replay ran unplanned";
+
+  // The oracle: the checkpoint recovery started from, and the WAL's
+  // records run planner-off.
+  auto names = env.ListDir(kDir);
+  ASSERT_TRUE(names.ok()) << names.status();
+  std::string checkpoint;
+  for (const std::string& name : *names) {
+    if (name.starts_with("checkpoint-")) checkpoint = name;
+  }
+  ASSERT_FALSE(checkpoint.empty());
+  auto oracle = OpenSnapshot(std::string(kDir) + "/" + checkpoint, &env);
+  ASSERT_TRUE(oracle.ok()) << oracle.status();
+  auto wal = ReadWal(&env, WalFilePath(kDir));
+  ASSERT_TRUE(wal.ok()) << wal.status();
+  ASSERT_EQ(wal->records.size(), std::size(kUpdates));
+  for (const WalRecord& record : wal->records) {
+    uint32_t default_color = 0;
+    std::memcpy(&default_color, record.payload.data(), sizeof(default_color));
+    mcx::EvalOptions o;
+    o.default_color = static_cast<ColorId>(default_color);
+    ASSERT_FALSE(o.planner);
+    mcx::Evaluator ev(oracle->get(), o);
+    auto r = ev.Run(std::string_view(record.payload).substr(sizeof(uint32_t)));
+    ASSERT_TRUE(r.ok()) << r.status();
+  }
+
+  MctDatabase& got = *rec->db;
+  MctDatabase& want = **oracle;
+  ASSERT_EQ(got.store().size(), want.store().size());
+  ASSERT_EQ(got.num_colors(), want.num_colors());
+  for (ColorId c = 0; c < got.num_colors(); ++c) {
+    EXPECT_EQ(got.tree(c)->PreOrder(), want.tree(c)->PreOrder())
+        << "color " << got.ColorName(c);
+  }
+  EXPECT_EQ(SnapshotBytes(got, &env, "/snap/planned"),
+            SnapshotBytes(want, &env, "/snap/planner_off"));
+  ExpectState(&got, std::size(kUpdates));
 }
 
 TEST(RecoveryTest, RealFilesystemEndToEnd) {

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "common/crc32c.h"
 #include "common/rng.h"
+#include "mct/snapshot.h"
 #include "mct/xml_load.h"
 #include "movie_fixture.h"
 #include "schema_oracle.h"
@@ -498,6 +502,68 @@ TEST(ExchangeTest, MovieExportIsPinned) {
   EXPECT_EQ(stats.elements, 31u);
 }
 
+// CRC32C over every node in id order (tag, content, colors, attributes)
+// and over each colored tree's pre-order of ids, so two databases with one
+// fingerprint also number their nodes alike (a snapshot renumbers them).
+uint32_t NodeIdFingerprint(const MctDatabase& db) {
+  std::string s;
+  for (NodeId n = 0; n < db.store().size(); ++n) {
+    s += db.Tag(n) + '\0' + db.Content(n) + '\0' +
+         std::to_string(db.Colors(n).mask());
+    for (const NodeAttr& a : db.Attrs(n)) {
+      s += ' ' + db.store().names().Name(a.name) + '=' + a.value + '\0';
+    }
+    s += '\n';
+  }
+  for (ColorId c = 0; c < db.num_colors(); ++c) {
+    for (NodeId n : db.tree(c)->PreOrder()) s += std::to_string(n) + ' ';
+    s += '\n';
+  }
+  return Crc32c(s);
+}
+
+// ImportXml builds one exact database from a text: the snapshot of each
+// imported export (trailer CRC32C and size) and its node ids are pinned.
+TEST(ExchangeTest, ImportedSnapshotsArePinned) {
+  using namespace workload;
+  struct Pin {
+    const char* dataset;
+    uint32_t crc32c;
+    uint64_t bytes;
+    uint32_t ids;
+  };
+  const Pin kPinned[] = {
+      {"tpcw", 2001636615u, 486674, 2691010383u},
+      {"movie", 778111191u, 1086, 1733275175u},
+  };
+  auto tpcw = BuildTpcw(GenerateTpcw(TpcwScale::Default().ScaledBy(0.05)),
+                        SchemaKind::kMct);
+  ASSERT_TRUE(tpcw.ok()) << tpcw.status();
+  MovieDb movie = BuildMovieDb();
+  const std::string path = testing::TempDir() + "/imported_pinned.snap";
+  for (const Pin& pin : kPinned) {
+    SCOPED_TRACE(pin.dataset);
+    MctDatabase* db = std::string(pin.dataset) == "tpcw" ? tpcw->db.get()
+                                                         : movie.db.get();
+    auto scheme = OptSerialize(InferSchema(*db));
+    ASSERT_TRUE(scheme.ok());
+    auto xml = ExportXml(db, *scheme);
+    ASSERT_TRUE(xml.ok()) << xml.status();
+    auto imported = ImportXml(*xml);
+    ASSERT_TRUE(imported.ok()) << imported.status();
+    ASSERT_TRUE(SaveSnapshot(**imported, path).ok());
+    std::ifstream in(path, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    ASSERT_GT(bytes.size(), 4u);
+    EXPECT_EQ(Crc32c(std::string_view(bytes).substr(0, bytes.size() - 4)),
+              pin.crc32c);
+    EXPECT_EQ(bytes.size(), pin.bytes);
+    EXPECT_EQ(NodeIdFingerprint(**imported), pin.ids);
+  }
+  std::filesystem::remove(path);
+}
+
 // A cross-color nesting cycle: x's primary parent is y (in a) and y's is x
 // (in b), so neither is reachable from the document by primary nesting.
 // The first of them in color order is orphaned: it is written at top level
@@ -579,6 +645,21 @@ TEST(ExchangeTest, ImportRejectsGarbage) {
   EXPECT_FALSE(ImportXml("<mct-database colors=\"a b\">"
                          "<x mct.pc=\"a\" mct.ref.b=\"77\"/></mct-database>")
                    .ok());  // dangling ref
+  // Export ids are decimal integers.
+  EXPECT_TRUE(ImportXml("<mct-database colors=\"a b\"><x mct.pc=\"a\" "
+                        "mct.id=\"x1\"/><y mct.pc=\"a\" mct.ref.b=\"x1\"/>"
+                        "</mct-database>")
+                  .status()
+                  .IsCorruption());
+  EXPECT_TRUE(ImportXml("<mct-database colors=\"a b\"><x mct.pc=\"a\" "
+                        "mct.id=\"1\"/><y mct.pc=\"a\" mct.ref.b=\"1x\"/>"
+                        "</mct-database>")
+                  .status()
+                  .IsCorruption());
+  // Malformed text is a ParseError whatever else is wrong with it.
+  EXPECT_TRUE(ImportXml("<mct-database colors=\"a\"><x mct.pc=\"zzz\"/>")
+                  .status()
+                  .IsParseError());
 }
 
 // Randomized round-trip property over arbitrary multi-colored databases.

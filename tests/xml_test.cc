@@ -4,6 +4,8 @@
 #include "xml/escape.h"
 #include "xml/name_pool.h"
 #include "xml/parser.h"
+#include "xml/tokenizer.h"
+#include "xml_corpus.h"
 
 namespace mct::xml {
 namespace {
@@ -190,6 +192,167 @@ TEST(ParserTest, NestingIsCappedAtMaxDepth) {
   EXPECT_EQ(doc->root->children().size(), static_cast<size_t>(2 * kMaxDepth));
 }
 
+// The tokens of `doc`, one per line as "offset kind": <name a=v ...> for
+// a start, </name> for an end, "text", <!--text-->, <?name text?>, and
+// "end" for the end of the document; or the error, as "error: message".
+std::string Tokens(std::string_view doc) {
+  Tokenizer tokenizer(doc);
+  std::string out;
+  while (true) {
+    auto tok = tokenizer.Next();
+    if (!tok.ok()) return out + "error: " + tok.status().message();
+    out += std::to_string(tok->offset) + " ";
+    switch (tok->kind) {
+      case TokenKind::kStartElement:
+        out += "<" + std::string(tok->name);
+        for (const TokenAttr& a : tok->attrs) {
+          out += " " + std::string(a.name) + "=" + std::string(a.value);
+        }
+        out += ">";
+        break;
+      case TokenKind::kEndElement:
+        out += "</" + std::string(tok->name) + ">";
+        break;
+      case TokenKind::kText:
+        out += "\"" + std::string(tok->text) + "\"";
+        break;
+      case TokenKind::kComment:
+        out += "<!--" + std::string(tok->text) + "-->";
+        break;
+      case TokenKind::kProcessingInstruction:
+        out += "<?" + std::string(tok->name) + " " + std::string(tok->text) +
+               "?>";
+        break;
+      case TokenKind::kEndOfDocument:
+        return out + "end";
+    }
+    out += "\n";
+  }
+}
+
+TEST(TokenizerTest, SelfClosingTagYieldsStartAndEnd) {
+  EXPECT_EQ(Tokens("<a><b x='1'/></a>"),
+            "0 <a>\n"
+            "3 <b x=1>\n"
+            "11 </b>\n"
+            "13 </a>\n"
+            "17 end");
+  EXPECT_EQ(Tokens("<r/>"), "0 <r>\n2 </r>\n4 end");
+}
+
+// Values with entities are resolved into scratch space; the others stay
+// views of the input. Both kinds keep their order and values side by side.
+TEST(TokenizerTest, EntitiesInAttributeValuesAndText) {
+  EXPECT_EQ(Tokens("<t a=\"x &amp; y\" b='plain' c=\"&lt;&#65;&#x42;&quot;\">"
+                   "1 &lt; 2 &amp;&amp; 3</t>"),
+            "0 <t a=x & y b=plain c=<AB\">\n"
+            "53 \"1 < 2 && 3\"\n"
+            "74 </t>\n"
+            "78 end");
+  // A run that is whitespace once resolved is formatting too.
+  EXPECT_EQ(Tokens("<t>&#32;<u/>&#10;</t>"),
+            "0 <t>\n8 <u>\n10 </u>\n17 </t>\n21 end");
+}
+
+// Whitespace-only text runs are dropped; CDATA sections are text, kept
+// verbatim even when blank or empty.
+TEST(TokenizerTest, CdataIsKeptAndBlankRunsAreDropped) {
+  EXPECT_EQ(Tokens("<a>\n  <![CDATA[ ]]> x <![CDATA[<&>]]><![CDATA[]]>\n</a>"),
+            "0 <a>\n"
+            "6 \" \"\n"
+            "19 \" x \"\n"
+            "22 \"<&>\"\n"
+            "37 \"\"\n"
+            "50 </a>\n"
+            "54 end");
+}
+
+// Comments and processing instructions inside the document element are
+// tokens; the prolog's and the epilogue's are skipped.
+TEST(TokenizerTest, CommentsAndProcessingInstructions) {
+  EXPECT_EQ(Tokens("<?xml version='1.0'?>\n<!DOCTYPE r>\n<!--pro-->"
+                   "<r><!--c--><?pi some data?><?bare?></r>\n<!--post--><?x?>"),
+            "45 <r>\n"
+            "48 <!--c-->\n"
+            "56 <?pi some data?>\n"
+            "72 <?bare ?>\n"
+            "80 </r>\n"
+            "101 end");
+}
+
+// Each error names its offset (an entity error names the entity), and
+// xml::Parse refuses the document with the same message. The error repeats
+// on every later call.
+TEST(TokenizerTest, ErrorsNameTheirOffset) {
+  const std::pair<const char*, const char*> kCases[] = {
+      {"", "expected '<' at offset 0"},
+      {"  text", "expected '<' at offset 2"},
+      {"<?xml unterminated", "expected '<' at offset 18"},
+      {"<1tag/>", "expected a name at offset 1"},
+      {"<a", "unterminated start tag at offset 2"},
+      {"<a x></a>", "expected '=' in attribute at offset 4"},
+      {"<a x=1></a>", "expected quoted attribute value at offset 5"},
+      {"<a x='1></a>", "unterminated attribute value at offset 12"},
+      {"<a x='1' x='2'></a>", "duplicate attribute 'x' at offset 14"},
+      {"<a>", "unterminated element <a> at offset 3"},
+      {"<a>text", "unterminated element <a> at offset 3"},
+      {"<a><b></a>", "mismatched close tag </a> for <b> at offset 9"},
+      {"<a></a x>", "expected '>' in close tag at offset 7"},
+      {"<a></>", "expected a name at offset 5"},
+      {"<a><!-- x</a>", "unterminated comment at offset 3"},
+      {"<a><![CDATA[x</a>", "unterminated CDATA at offset 3"},
+      {"<a><?pi x</a>", "unterminated PI at offset 3"},
+      {"<a><!DOCTYPE a></a>", "expected a name at offset 4"},
+      {"<a></a><b/>", "trailing content after document element at offset 7"},
+      {"<a>&nosuch;</a>", "unknown entity: &nosuch;"},
+      {"<a x='&#xz;'/>", "malformed hex character reference: &#xz;"},
+  };
+  for (const auto& [doc, message] : kCases) {
+    SCOPED_TRACE(doc);
+    const std::string tokens = Tokens(doc);
+    EXPECT_EQ(tokens.substr(tokens.rfind('\n') + 1),
+              std::string("error: ") + message);
+    auto parsed = Parse(doc);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_TRUE(parsed.status().IsParseError());
+    EXPECT_EQ(parsed.status().message(), message);
+    Tokenizer tokenizer(doc);
+    Status first;
+    while (first.ok()) {
+      auto tok = tokenizer.Next();
+      first = tok.status();
+      ASSERT_TRUE(!tok.ok() || tok->kind != TokenKind::kEndOfDocument);
+    }
+    EXPECT_EQ(tokenizer.Next().status().message(), first.message());
+  }
+}
+
+// The tokenizer keeps its open elements on a stack: a million levels read
+// through (xml::Parse refuses them at kMaxDepth, for its DOM).
+TEST(TokenizerTest, AnyDepthReadsThrough) {
+  constexpr size_t kLevels = 1000000;
+  std::string doc;
+  for (size_t i = 0; i < kLevels; ++i) doc += "<a>";
+  doc += "x";
+  for (size_t i = 0; i < kLevels; ++i) doc += "</a>";
+  Tokenizer tokenizer(doc);
+  size_t depth = 0, max_depth = 0, tokens = 0;
+  while (true) {
+    auto tok = tokenizer.Next();
+    ASSERT_TRUE(tok.ok()) << tok.status();
+    if (tok->kind == TokenKind::kEndOfDocument) break;
+    ++tokens;
+    if (tok->kind == TokenKind::kStartElement) {
+      max_depth = std::max(max_depth, ++depth);
+    } else if (tok->kind == TokenKind::kEndElement) {
+      --depth;
+    }
+  }
+  EXPECT_EQ(tokens, 2 * kLevels + 1);
+  EXPECT_EQ(max_depth, kLevels);
+  EXPECT_EQ(depth, 0u);
+}
+
 // A compact form of a parsed tree for assertions: name[attr=value,...]
 // followed by (child,...) when there are children; text children quoted,
 // comments as <!--text-->, processing instructions as <?name text?>.
@@ -240,15 +403,6 @@ TEST(ParserTest, IndentedDocumentParsesLikeCompact) {
 }
 
 // Each document of a corpus of tricky ones parses to the expected tree.
-struct ParseCase {
-  const char* xml;
-  const char* tree;
-};
-
-void PrintTo(const ParseCase& c, std::ostream* os) {
-  *os << testing::PrintToString(c.xml);
-}
-
 class XmlParseDom : public testing::TestWithParam<ParseCase> {};
 
 TEST_P(XmlParseDom, MatchesExpectedTree) {
@@ -257,22 +411,7 @@ TEST_P(XmlParseDom, MatchesExpectedTree) {
   EXPECT_EQ(Tree(*doc->root), GetParam().tree);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Corpus, XmlParseDom,
-    testing::Values(
-        ParseCase{"<a/>", "a"},
-        ParseCase{"<a b=\"c\"/>", "a[b=c]"},
-        ParseCase{"<a>text</a>", "a(\"text\")"},
-        ParseCase{"<a>x<b/>y</a>", "a(\"x\",b,\"y\")"},
-        ParseCase{"<a><![CDATA[<raw>]]></a>", "a(\"<raw>\")"},
-        ParseCase{"<ns:a xmlns:ns=\"http://x\"><ns:b/></ns:a>",
-                  "ns:a[xmlns:ns=http://x](ns:b)"},
-        ParseCase{"<a att=\"&quot;q&quot;\">&amp;</a>",
-                  "a[att=\"q\"](\"&\")"},
-        ParseCase{"<deep><l1><l2><l3><l4>v</l4></l3></l2></l1></deep>",
-                  "deep(l1(l2(l3(l4(\"v\")))))"},
-        ParseCase{"<mixed>one<e1/>two<e2/>three</mixed>",
-                  "mixed(\"one\",e1,\"two\",e2,\"three\")"}));
+INSTANTIATE_TEST_SUITE_P(Corpus, XmlParseDom, testing::ValuesIn(kXmlCorpus));
 
 }  // namespace
 }  // namespace mct::xml
