@@ -48,7 +48,8 @@ inline int PlannerCompare(MctDatabase* db, ColorId default_color,
     uint64_t base_count = 0;
     uint64_t plan_count = 0;
     auto base_once = [&]() -> double {
-      auto run = workload::RunQuery(db, default_color, q.mct, false);
+      auto run =
+          workload::RunQuery(db, q.mct, {.default_color = default_color});
       if (!run.ok()) {
         std::fprintf(stderr, "baseline %s failed: %s\n", q.id.c_str(),
                      run.status().ToString().c_str());
@@ -58,9 +59,10 @@ inline int PlannerCompare(MctDatabase* db, ColorId default_color,
       return run->seconds;
     };
     auto plan_once = [&]() -> double {
-      auto run = workload::RunQuery(db, default_color, q.mct, false, 1, 1024,
-                                    nullptr, nullptr, mcx::AnalyzeMode::kOff,
-                                    nullptr, true, &cache);
+      auto run = workload::RunQuery(db, q.mct,
+                                    {.default_color = default_color,
+                                     .planner = true,
+                                     .plan_cache = &cache});
       if (!run.ok()) {
         std::fprintf(stderr, "planned %s failed: %s\n", q.id.c_str(),
                      run.status().ToString().c_str());

@@ -39,8 +39,9 @@ const CatalogQuery* FindQuery(const std::vector<CatalogQuery>& catalog,
 double MeasureQuery(TpcwDb* db, const std::string& text, int num_threads = 1) {
   return mct::bench::Repeated(
       [&]() {
-        auto run = RunQuery(db->db.get(), db->default_color(), text, false,
-                            num_threads);
+        auto run = RunQuery(db->db.get(), text,
+                            {.default_color = db->default_color(),
+                             .num_threads = num_threads});
         if (!run.ok()) {
           std::fprintf(stderr, "query failed: %s\n",
                        run.status().ToString().c_str());
@@ -107,8 +108,9 @@ int RunShardSweep(double base, bool check) {
 
   const int kThreads = 8;
   auto run_once = [&](const std::string& text) {
-    auto run = RunQuery(db->db.get(), db->default_color(), text, false,
-                        kThreads);
+    auto run = RunQuery(db->db.get(), text,
+                        {.default_color = db->default_color(),
+                         .num_threads = kThreads});
     if (!run.ok()) {
       std::fprintf(stderr, "query failed: %s\n",
                    run.status().ToString().c_str());
@@ -142,8 +144,7 @@ int RunShardSweep(double base, bool check) {
   // Interleaved rounds — every shard count runs once per round, so
   // machine-wide drift (frequency scaling, noisy neighbours) lands on all
   // shard counts of a query equally instead of biasing whichever block
-  // happened to run during the slow spell. The per-switch shard-map
-  // rebuild is charged to the first run of a round; the min absorbs it.
+  // happened to run during the slow spell.
   for (int round = 0; round < kRounds; ++round) {
     for (size_t si = 0; si < shard_counts.size(); ++si) {
       db->db->SetShardCount(shard_counts[si]);
@@ -294,8 +295,10 @@ int main(int argc, char** argv) {
     for (const Traced& q : queries) {
       for (int threads : {1, 8}) {
         mct::query::QueryTrace trace;
-        auto run = RunQuery(q.db->db.get(), q.db->default_color(), q.text,
-                            false, threads, 1024, &trace);
+        auto run = RunQuery(q.db->db.get(), q.text,
+                            {.default_color = q.db->default_color(),
+                             .trace = &trace,
+                             .num_threads = threads});
         if (!run.ok()) {
           std::fprintf(stderr, "query %s failed: %s\n", q.id,
                        run.status().ToString().c_str());

@@ -30,7 +30,8 @@ Cell Measure(SigmodDb* db, const std::string& text, bool is_update) {
   Cell cell;
   if (text.empty()) return cell;
   auto once = [&]() -> double {
-    auto run = RunQuery(db->db.get(), db->default_color(), text, false);
+    auto run = RunQuery(db->db.get(), text,
+                        {.default_color = db->default_color()});
     if (!run.ok()) {
       std::fprintf(stderr, "query failed: %s\n  %s\n",
                    run.status().ToString().c_str(), text.c_str());
@@ -108,9 +109,10 @@ int main(int argc, char** argv) {
     for (const CatalogQuery& q : SigmodCatalog(data)) {
       if (q.mct.empty()) continue;
       mct::mcx::AnalysisReport report;
-      auto run = RunQuery(mct_db->db.get(), mct_db->default_color(), q.mct,
-                          false, 1, 1024, nullptr, nullptr,
-                          mct::mcx::AnalyzeMode::kStrict, &report);
+      auto run = RunQuery(mct_db->db.get(), q.mct,
+                          {.default_color = mct_db->default_color(),
+                           .analyze = mct::mcx::AnalyzeMode::kStrict,
+                           .check = &report});
       std::printf("EXPLAIN CHECK %s\n%s\n", q.id.c_str(),
                   report.ToText().c_str());
       if (!first) std::fprintf(out, ",\n");
@@ -141,8 +143,9 @@ int main(int argc, char** argv) {
     for (const CatalogQuery& q : SigmodCatalog(data)) {
       if (q.is_update || q.mct.empty()) continue;
       mct::query::QueryTrace trace;
-      auto run = RunQuery(mct_db->db.get(), mct_db->default_color(), q.mct,
-                          false, 1, 1024, &trace);
+      auto run = RunQuery(mct_db->db.get(), q.mct,
+                          {.default_color = mct_db->default_color(),
+                           .trace = &trace});
       if (!run.ok()) {
         std::fprintf(stderr, "query %s failed: %s\n", q.id.c_str(),
                      run.status().ToString().c_str());

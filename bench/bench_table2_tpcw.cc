@@ -38,7 +38,8 @@ Cell Measure(TpcwDb* db, const std::string& text, bool is_update) {
   Cell cell;
   if (text.empty()) return cell;
   auto once = [&]() -> double {
-    auto run = RunQuery(db->db.get(), db->default_color(), text, false);
+    auto run = RunQuery(db->db.get(), text,
+                        {.default_color = db->default_color()});
     if (!run.ok()) {
       std::fprintf(stderr, "query failed: %s\n  %s\n",
                    run.status().ToString().c_str(), text.c_str());
@@ -121,9 +122,10 @@ int main(int argc, char** argv) {
     for (const CatalogQuery& q : TpcwCatalog(data)) {
       if (q.mct.empty()) continue;
       mct::mcx::AnalysisReport report;
-      auto run = RunQuery(mct_db->db.get(), mct_db->default_color(), q.mct,
-                          false, 1, 1024, nullptr, nullptr,
-                          mct::mcx::AnalyzeMode::kStrict, &report);
+      auto run = RunQuery(mct_db->db.get(), q.mct,
+                          {.default_color = mct_db->default_color(),
+                           .analyze = mct::mcx::AnalyzeMode::kStrict,
+                           .check = &report});
       std::printf("EXPLAIN CHECK %s\n%s\n", q.id.c_str(),
                   report.ToText().c_str());
       if (!first) std::fprintf(out, ",\n");
@@ -156,8 +158,9 @@ int main(int argc, char** argv) {
     for (const CatalogQuery& q : TpcwCatalog(data)) {
       if (q.is_update || q.mct.empty()) continue;
       mct::query::QueryTrace trace;
-      auto run = RunQuery(mct_db->db.get(), mct_db->default_color(), q.mct,
-                          false, 1, 1024, &trace);
+      auto run = RunQuery(mct_db->db.get(), q.mct,
+                          {.default_color = mct_db->default_color(),
+                           .trace = &trace});
       if (!run.ok()) {
         std::fprintf(stderr, "query %s failed: %s\n", q.id.c_str(),
                      run.status().ToString().c_str());

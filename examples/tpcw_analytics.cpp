@@ -17,7 +17,8 @@ using namespace mct::workload;
 namespace {
 
 void Run(TpcwDb* db, const char* label, const std::string& text) {
-  auto r = RunQuery(db->db.get(), db->default_color(), text, true);
+  auto r = RunQuery(db->db.get(), text, {.default_color = db->default_color()},
+                    /*collect_values=*/true);
   if (!r.ok()) {
     std::printf("%-46s ERROR %s\n", label, r.status().ToString().c_str());
     return;

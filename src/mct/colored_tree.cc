@@ -11,8 +11,7 @@ Status ColoredTree::SetRoot(NodeId node) {
     return Status::AlreadyExists("colored tree already has a root");
   }
   root_ = node;
-  StructNode& sn = nodes_.Put(node);
-  sn.level = 0;
+  nodes_.Put(node);
   labels_dirty_ = true;
   return Status::OK();
 }
@@ -38,10 +37,7 @@ Status ColoredTree::InsertChild(NodeId parent, NodeId child, NodeId before) {
       return Status::InvalidArgument("'before' is not a child of 'parent'");
     }
   }
-  uint32_t parent_level = nodes_.At(parent).level;
-  StructNode& sn = nodes_.Put(child);
-  sn.parent = parent;
-  sn.level = parent_level + 1;
+  nodes_.Put(child).parent = parent;
   LinkChild(parent, child, before);
   if (!labels_dirty_) TryGapLabel(child);
   return Status::OK();
@@ -200,29 +196,6 @@ std::vector<NodeId> ColoredTree::PreOrder(NodeId node) const {
   return out;
 }
 
-uint64_t ColoredTree::Start(NodeId node) {
-  EnsureLabels();
-  return nodes_.At(node).start;
-}
-
-uint64_t ColoredTree::End(NodeId node) {
-  EnsureLabels();
-  return nodes_.At(node).end;
-}
-
-uint32_t ColoredTree::Level(NodeId node) {
-  EnsureLabels();
-  return nodes_.At(node).level;
-}
-
-bool ColoredTree::IsAncestor(NodeId anc, NodeId desc) {
-  EnsureLabels();
-  const StructNode* a = nodes_.Find(anc);
-  const StructNode* d = nodes_.Find(desc);
-  if (a == nullptr || d == nullptr) return false;
-  return a->start < d->start && d->end < a->end;
-}
-
 void ColoredTree::EnsureLabels() {
   if (labels_dirty_) Relabel();
 }
@@ -243,12 +216,8 @@ void ColoredTree::Relabel() {
     Frame& f = stack.back();
     if (!f.entered) {
       f.entered = true;
-      NodeId parent = nodes_.At(f.node).parent;
-      uint32_t level =
-          (parent == kInvalidNodeId) ? 0 : nodes_.At(parent).level + 1;
       StructNode& sn = nodes_.Mut(f.node);
       sn.start = (++event) * kLabelGap;
-      sn.level = level;
       // Push children in reverse so the leftmost is processed first.
       std::vector<NodeId> kids;
       for (NodeId c = sn.first_child; c != kInvalidNodeId;

@@ -5,10 +5,11 @@
 // one structural relationships node for each color hierarchy that the
 // element participates in".
 //
-// Interval labels: every member carries (start, end, level) with
-// start/end drawn from a pre-order event numbering scaled by 2^16. Gaps let
-// small structural updates label new nodes in O(1); when a gap is exhausted
-// the tree is marked dirty and fully relabeled on the next label access.
+// Interval labels: every member carries (start, end) drawn from a
+// pre-order event numbering scaled by 2^16. Gaps let small structural
+// updates label new nodes in O(1); when a gap is exhausted the tree is
+// marked dirty, and EnsureLabels() — the one place labels are rebuilt —
+// relabels it fully. Label reads never relabel: they require clean labels.
 // Labels give O(1) ancestor/descendant tests and the per-color *local
 // document order* (Section 3.1), which is what the structural join
 // operators sort-merge on.
@@ -116,16 +117,9 @@ class ColoredTree {
   /// Pre-order of the subtree rooted at `node` (inclusive).
   std::vector<NodeId> PreOrder(NodeId node) const;
 
-  // -- Interval labels. Calling any of the mutable overloads relabels first
-  //    if dirty. The const overloads are the thread-safe read path used by
-  //    parallel operator workers: they require clean labels (callers run
-  //    EnsureLabels() before fanning out) and never mutate the tree.
-  uint64_t Start(NodeId node);
-  uint64_t End(NodeId node);
-  uint32_t Level(NodeId node);
-  /// True when `anc` is a proper ancestor of `desc` in this color.
-  bool IsAncestor(NodeId anc, NodeId desc);
-
+  // -- Interval labels. Reads require clean labels (asserted): callers run
+  //    EnsureLabels() first — an operator once before fanning out — and the
+  //    reads never mutate the tree, so parallel workers may share them.
   uint64_t Start(NodeId node) const {
     assert(!labels_dirty_);
     return nodes_.At(node).start;
@@ -134,10 +128,7 @@ class ColoredTree {
     assert(!labels_dirty_);
     return nodes_.At(node).end;
   }
-  uint32_t Level(NodeId node) const {
-    assert(!labels_dirty_);
-    return nodes_.At(node).level;
-  }
+  /// True when `anc` is a proper ancestor of `desc` in this color.
   bool IsAncestor(NodeId anc, NodeId desc) const {
     assert(!labels_dirty_);
     const StructNode* a = nodes_.Find(anc);
@@ -167,7 +158,6 @@ class ColoredTree {
     NodeId prev_sibling = kInvalidNodeId;
     uint64_t start = 0;
     uint64_t end = 0;
-    uint32_t level = 0;
   };
 
   // Gap between consecutive pre-order events after a full relabel.

@@ -6,6 +6,7 @@
 
 #include "common/strings.h"
 #include "common/thread_pool.h"
+#include "mct/shard.h"
 
 namespace mct {
 
@@ -24,7 +25,6 @@ MctDatabase::MctDatabase(const MctDatabase& o)
       document_(o.document_),
       images_(o.images_),
       edge_counts_(o.edge_counts_),
-      shard_map_(o.shard_map_),
       shard_count_(o.shard_count_) {
   trees_.reserve(o.trees_.size());
   for (const auto& t : o.trees_) {
@@ -174,7 +174,6 @@ void MctDatabase::BuildPending(ImageKind kind) {
 Result<ColorId> MctDatabase::RegisterColor(std::string_view name) {
   ColorId existing = colors_.Lookup(name);
   if (existing != kInvalidColorId) return existing;
-  shard_map_.reset();  // color count changes; rebuild lazily
   MCT_ASSIGN_OR_RETURN(ColorId id, colors_.Register(name));
   assert(id == trees_.size());
   trees_.push_back(std::make_unique<ColoredTree>(id));
@@ -201,9 +200,6 @@ Status MctDatabase::AddNodeColor(NodeId node, ColorId color, NodeId parent,
     return Status::InvalidArgument("unregistered color");
   }
   bool first_color = store_.Colors(node).empty();
-  // Structural mutation: labels may move (gap insert or full relabel), so
-  // this version's shard map is stale. Shared lineage versions keep theirs.
-  shard_map_.reset();
   MCT_RETURN_IF_ERROR(trees_[color]->InsertChild(parent, node, before));
   store_.AddColor(node, color);
   if (IsElement(node)) {
@@ -251,7 +247,6 @@ Status MctDatabase::RemoveNodeColor(NodeId node, ColorId color) {
     }
   }
   std::vector<NodeId> removed;
-  shard_map_.reset();
   MCT_RETURN_IF_ERROR(trees_[color]->DetachSubtree(node, &removed));
   if (!lost.empty()) {
     EdgeCounts& counts = *CowOwn(edge_counts_);
@@ -349,29 +344,6 @@ void MctDatabase::SetShardCount(int n) {
   if (n < 1) n = 1;
   if (n > 64) n = 64;
   shard_count_ = n;
-  shard_map_.reset();
-}
-
-const ShardMap* MctDatabase::EnsureShardMap() {
-  if (shard_count_ <= 1) {
-    shard_map_.reset();
-    return nullptr;
-  }
-  if (shard_map_ != nullptr && shard_map_->shard_count() == shard_count_ &&
-      shard_map_->color_count() == trees_.size()) {
-    return shard_map_.get();
-  }
-  // Boundaries are start labels, so they are only meaningful over clean
-  // labels; the map is invalidated by every structural mutation, which is
-  // exactly when labels can move.
-  for (auto& t : trees_) t->EnsureLabels();
-  shard_map_ = std::make_shared<const ShardMap>(
-      shard_count_, trees_.size(), [&](ColorId c) {
-        const ColoredTree* t = trees_[c].get();
-        NodeId r = t->root();
-        return std::pair<uint64_t, uint64_t>(t->Start(r), t->End(r));
-      });
-  return shard_map_.get();
 }
 
 namespace {
@@ -391,24 +363,23 @@ std::vector<NodeId> MctDatabase::TagScan(ColorId color, std::string_view tag,
   // Posting order is by node id (stable under relabeling); re-establish the
   // local document order the structural operators need. Keys are extracted
   // once before sorting (Start() is a chunk probe).
-  ColoredTree* t = trees_[color].get();
-  t->EnsureLabels();
+  trees_[color]->EnsureLabels();
+  const ColoredTree& t = *trees_[color];
   std::vector<std::pair<uint64_t, NodeId>> keyed;
   keyed.reserve(out.size());
-  for (NodeId n : out) keyed.emplace_back(t->Start(n), n);
-  const ShardMap* sm = EnsureShardMap();
-  if (sm != nullptr && pool != nullptr && pool->num_threads() > 1 &&
+  for (NodeId n : out) keyed.emplace_back(t.Start(n), n);
+  if (shard_count_ > 1 && pool != nullptr && pool->num_threads() > 1 &&
       keyed.size() >= kShardSortMin) {
     // Shard-parallel order restore: bucket by owning shard (shard ranges
     // are disjoint and ordered), sort each bucket as one pool task,
     // concatenate in shard order. Start labels are unique within a tree,
     // so this is byte-identical to the serial full sort.
-    const size_t ns = static_cast<size_t>(sm->shard_count());
+    const ShardRanges ranges(shard_count_, t);
+    const size_t ns = static_cast<size_t>(shard_count_);
     std::vector<uint32_t> shard_of(keyed.size());
     std::vector<size_t> offset(ns + 1, 0);
     for (size_t i = 0; i < keyed.size(); ++i) {
-      shard_of[i] =
-          static_cast<uint32_t>(sm->ShardOf(color, keyed[i].first));
+      shard_of[i] = static_cast<uint32_t>(ranges.ShardOf(keyed[i].first));
       ++offset[shard_of[i] + 1];
     }
     for (size_t s = 0; s < ns; ++s) offset[s + 1] += offset[s];
@@ -476,7 +447,9 @@ namespace {
 constexpr uint64_t kPageBytes = 8192;
 constexpr uint32_t kNodeRecordBytes = 24;    // kind, name, colors, content slot
 constexpr uint32_t kAttrRecordBytes = 16;    // name, value slot
-constexpr uint32_t kStructRecordBytes = 48;  // node, 5 links, start, end, level
+// Timber's structural record: node, 5 links, start, end and level. The
+// resident record keeps no level, but the model prices Timber's.
+constexpr uint32_t kStructRecordBytes = 48;
 // B+-tree pages: an 8-byte header, then 24-byte leaf entries (16-byte key,
 // 8-byte value) or 20-byte internal entries (16-byte key, 4-byte child).
 constexpr uint32_t kLeafEntries = (kPageBytes - 8) / 24;      // 341

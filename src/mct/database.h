@@ -59,7 +59,6 @@
 #include "mct/color.h"
 #include "mct/colored_tree.h"
 #include "mct/node_store.h"
-#include "mct/shard.h"
 
 namespace mct {
 
@@ -208,7 +207,7 @@ class MctDatabase {
   const ColoredTree* tree(ColorId c) const { return trees_[c].get(); }
 
   /// All elements with `tag` in `color`, sorted by local document order.
-  /// With an active shard map and a pool, the order-restoring sort runs as
+  /// With shard_count() > 1 and a pool, the order-restoring sort runs as
   /// one task per shard (bucket by owning shard, sort buckets in parallel,
   /// concatenate in shard order) — the result is byte-identical to the
   /// serial sort because shard ranges are disjoint and ordered.
@@ -218,20 +217,12 @@ class MctDatabase {
   // ---- Interval-range sharding (DESIGN.md §17) ----
 
   /// Sets the number of intra-process shards (clamped to [1, 64]).
-  /// 1 disables sharding entirely: shard_map() stays null and every
-  /// operator takes its pre-shard code path. Takes effect at the next
-  /// EnsureShardMap(); safe only between statements (like EnsureLabels).
+  /// 1 disables sharding entirely: every operator takes its unsharded
+  /// code path. The structural operators split a color's root interval
+  /// into this many ShardRanges where they use them; safe only between
+  /// statements.
   void SetShardCount(int n);
   int shard_count() const { return shard_count_; }
-
-  /// Builds (or reuses) the shard map for the current labels. Called from
-  /// the single-threaded prologue of the structural operators, alongside
-  /// EnsureLabels(). Returns nullptr when shard_count() <= 1.
-  const ShardMap* EnsureShardMap();
-
-  /// The current shard map, or nullptr when sharding is off or the map has
-  /// been invalidated by a structural mutation and not yet rebuilt.
-  const ShardMap* shard_map() const { return shard_map_.get(); }
 
   /// Elements with `tag` whose own content equals `value`
   /// (content-index probe; color-agnostic).
@@ -391,11 +382,6 @@ class MctDatabase {
   // An open Loader's buffered entries, per image.
   bool loading_ = false;
   std::array<std::vector<ImageEntry>, kNumImages> pending_;
-  // Immutable shard map shared across the MVCC lineage; any structural
-  // mutation resets only this version's pointer (shard-local
-  // invalidation), and EnsureShardMap rebuilds lazily. Null when
-  // shard_count_ <= 1.
-  std::shared_ptr<const ShardMap> shard_map_;
   int shard_count_ = 1;
 };
 

@@ -155,7 +155,7 @@ Result<RecoveredDatabase> RecoverDatabase(const std::string& dir,
   return out;
 }
 
-Status CheckpointDatabase(MctDatabase& db, const std::string& dir,
+Status CheckpointDatabase(const MctDatabase& db, const std::string& dir,
                           uint64_t last_lsn, FileEnv* env) {
   if (env == nullptr) env = FileEnv::Default();
   MCT_ASSIGN_OR_RETURN(std::vector<uint64_t> seqs, ListCheckpoints(dir, env));

@@ -59,7 +59,7 @@ Result<RecoveredDatabase> RecoverDatabase(const std::string& dir,
 /// and including `last_lsn`, then prunes older checkpoints and stray temp
 /// files. The WAL itself is not touched (callers reset it separately; a
 /// crash in between is covered by LSN filtering).
-Status CheckpointDatabase(MctDatabase& db, const std::string& dir,
+Status CheckpointDatabase(const MctDatabase& db, const std::string& dir,
                           uint64_t last_lsn, FileEnv* env = nullptr);
 
 /// Process-wide writer exclusivity: at most one writer-capable handle

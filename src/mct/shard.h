@@ -1,13 +1,12 @@
-// ShardMap: interval-range sharding of colored trees (DESIGN.md §17).
+// ShardRanges: interval-range sharding of one colored tree (DESIGN.md §17).
 //
-// The (start, end, level) labels give every colored tree a total order on
-// starts, so a tree partitions naturally into N contiguous *start-label
-// ranges*. A ShardMap freezes one such partition per color: shard s of
-// color c owns every structural node whose start label falls in
-// [boundary[c][s], boundary[c][s+1]). Because a full relabel spaces starts
+// The (start, end) labels give every colored tree a total order on starts,
+// so a tree partitions naturally into N contiguous *start-label ranges*:
+// shard s owns every structural node whose start label falls in
+// [boundary[s], boundary[s+1]). Because a full relabel spaces starts
 // uniformly (kLabelGap apart), splitting the root's label interval into N
-// equal subranges yields near-equal node counts per shard in O(1) per
-// color — no histogram pass.
+// equal subranges yields near-equal node counts per shard — no histogram
+// pass.
 //
 // Two properties make shards useful to the structural join operators:
 //
@@ -24,23 +23,25 @@
 //    conservative (intersection is necessary, not sufficient), so pruning
 //    never changes results.
 //
-// A ShardMap is immutable once built and shared across MVCC versions via
-// shared_ptr; any structural mutation invalidates only the mutating
-// version's pointer (shard-local invalidation), and the next query
-// rebuilds lazily. shard_count = 1 disables the map entirely — every
-// operator then takes its pre-shard code path, bit for bit.
+// The ranges depend only on the shard count and the root's interval, so
+// each operator computes them (N+1 integers) where it uses them, over the
+// labels it has just made clean; nothing is cached on the database.
+// shard_count = 1 means no ranges: every operator then takes its unsharded
+// code path, bit for bit.
 
 #ifndef COLORFUL_XML_MCT_SHARD_H_
 #define COLORFUL_XML_MCT_SHARD_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
-#include "mct/color.h"
 
 namespace mct {
+
+class ColoredTree;
 
 /// mct.shard.* metrics family. Pointers resolved once; registrations
 /// survive MetricsRegistry::ResetForTest so they never dangle.
@@ -59,43 +60,31 @@ inline Counter* ShardMergeRowsCounter() {
   return c;
 }
 
-class ShardMap {
+class ShardRanges {
  public:
-  /// Builds a map with `shard_count` shards over `color_count` colors.
-  /// `root_range(c)` must return the label interval [start, end] of color
-  /// c's root (labels clean). shard_count must be >= 2 — a 1-shard map is
-  /// represented by *no* map.
-  template <typename RootRangeFn>
-  ShardMap(int shard_count, size_t color_count, RootRangeFn&& root_range)
-      : shard_count_(shard_count) {
-    boundaries_.resize(color_count);
-    for (size_t c = 0; c < color_count; ++c) {
-      auto [lo, hi] = root_range(static_cast<ColorId>(c));
-      // Half-open label space [lo, hi+1): the root's own start is in shard
-      // 0, the maximal end label in shard N-1.
-      BuildColor(&boundaries_[c], static_cast<uint64_t>(shard_count_), lo,
-                 hi + 1);
-    }
+  /// Splits `tree`'s root interval into `shard_count` ranges. The tree's
+  /// labels must be clean. shard_count must be >= 2 — one shard is
+  /// represented by *no* ranges.
+  ShardRanges(int shard_count, const ColoredTree& tree);
+
+  int shard_count() const {
+    return static_cast<int>(boundaries_.size()) - 1;
   }
 
-  int shard_count() const { return shard_count_; }
-  size_t color_count() const { return boundaries_.size(); }
-
-  /// [lo, hi) start-label range owned by `shard` in `color`.
-  std::pair<uint64_t, uint64_t> Range(ColorId color, int shard) const {
-    const std::vector<uint64_t>& b = boundaries_[color];
-    return {b[static_cast<size_t>(shard)], b[static_cast<size_t>(shard) + 1]};
+  /// [lo, hi) start-label range owned by `shard`.
+  std::pair<uint64_t, uint64_t> Range(int shard) const {
+    return {boundaries_[static_cast<size_t>(shard)],
+            boundaries_[static_cast<size_t>(shard) + 1]};
   }
 
-  /// Shard owning start label `start` in `color`.
-  int ShardOf(ColorId color, uint64_t start) const {
-    const std::vector<uint64_t>& b = boundaries_[color];
+  /// Shard owning start label `start`.
+  int ShardOf(uint64_t start) const {
     // upper_bound over the interior boundaries b[1..N-1].
     int lo = 0;
-    int hi = shard_count_ - 1;
+    int hi = shard_count() - 1;
     while (lo < hi) {
       int mid = (lo + hi) / 2;
-      if (start < b[static_cast<size_t>(mid) + 1]) {
+      if (start < boundaries_[static_cast<size_t>(mid) + 1]) {
         hi = mid;
       } else {
         lo = mid + 1;
@@ -109,19 +98,18 @@ class ShardMap {
   /// shard s owning [cuts[s], cuts[s+1]). Concatenating runs in shard order
   /// is the identity permutation — document order is preserved.
   template <typename StartFn>
-  std::vector<size_t> CutRuns(ColorId color, size_t n,
-                              StartFn&& start_of) const {
-    const std::vector<uint64_t>& b = boundaries_[color];
-    std::vector<size_t> cuts(static_cast<size_t>(shard_count_) + 1, n);
+  std::vector<size_t> CutRuns(size_t n, StartFn&& start_of) const {
+    const int shards = shard_count();
+    std::vector<size_t> cuts(static_cast<size_t>(shards) + 1, n);
     cuts[0] = 0;
     size_t pos = 0;
-    for (int s = 1; s < shard_count_; ++s) {
+    for (int s = 1; s < shards; ++s) {
       // First index with start >= b[s], searching from the previous cut.
       size_t lo = pos;
       size_t hi = n;
       while (lo < hi) {
         size_t mid = lo + (hi - lo) / 2;
-        if (start_of(mid) < b[static_cast<size_t>(s)]) {
+        if (start_of(mid) < boundaries_[static_cast<size_t>(s)]) {
           lo = mid + 1;
         } else {
           hi = mid;
@@ -164,13 +152,9 @@ class ShardMap {
   }
 
  private:
-  static void BuildColor(std::vector<uint64_t>* out, uint64_t n, uint64_t lo,
-                         uint64_t hi);
-
-  int shard_count_;
-  /// boundaries_[c] has shard_count_+1 entries; shard s of color c owns
-  /// starts in [boundaries_[c][s], boundaries_[c][s+1]).
-  std::vector<std::vector<uint64_t>> boundaries_;
+  /// shard_count()+1 entries; shard s owns starts in
+  /// [boundaries_[s], boundaries_[s+1]).
+  std::vector<uint64_t> boundaries_;
 };
 
 }  // namespace mct

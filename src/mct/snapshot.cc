@@ -78,7 +78,7 @@ class Reader {
 };
 
 /// Serializes header (sans magic/version/lsn) + body into `out`.
-void SerializeBody(MctDatabase& db, std::string* out) {
+void SerializeBody(const MctDatabase& db, std::string* out) {
   Writer w(out);
   w.U32(static_cast<uint32_t>(db.num_colors()));
   for (ColorId c = 0; c < db.num_colors(); ++c) w.Str(db.ColorName(c));
@@ -190,8 +190,8 @@ std::string DirOf(const std::string& path) {
 
 }  // namespace
 
-Status SaveSnapshot(MctDatabase& db, const std::string& path, FileEnv* env,
-                    uint64_t last_lsn) {
+Status SaveSnapshot(const MctDatabase& db, const std::string& path,
+                    FileEnv* env, uint64_t last_lsn) {
   if (env == nullptr) env = FileEnv::Default();
   std::string image;
   image.append(kMagic, sizeof(kMagic));

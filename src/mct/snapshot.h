@@ -40,7 +40,7 @@ namespace mct {
 /// Atomically writes a snapshot of `db` to `path` (replaces any previous
 /// file). `env` null uses the real filesystem; `last_lsn` stamps the newest
 /// WAL record the image covers (0 for standalone snapshots).
-Status SaveSnapshot(MctDatabase& db, const std::string& path,
+Status SaveSnapshot(const MctDatabase& db, const std::string& path,
                     FileEnv* env = nullptr, uint64_t last_lsn = 0);
 
 /// Reconstructs a database from a snapshot file, verifying the CRC trailer

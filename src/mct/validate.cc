@@ -39,13 +39,13 @@ ValidationReport ValidateDatabase(MctDatabase& db) {
   // Per-color structural invariants; collect per-node memberships.
   std::map<NodeId, ColorSet> membership;
   for (ColorId c = 0; c < ncolors; ++c) {
-    ColoredTree* t = db.tree(c);
+    db.tree(c)->EnsureLabels();
+    const ColoredTree* t = db.tree(c);
     const std::string& cname = db.ColorName(c);
     if (t->root() != doc) {
       fail("tree '" + cname + "' is not rooted at the document node");
       continue;
     }
-    t->EnsureLabels();
     std::vector<NodeId> order = t->PreOrder();
     if (order.size() != t->size()) {
       fail(StrFormat("tree '%s': %zu of %zu nodes unreachable from the root",
@@ -73,7 +73,7 @@ ValidationReport ValidateDatabase(MctDatabase& db) {
                          cname.c_str(), k));
         }
         // Labels: strict nesting inside the parent, ordered and disjoint
-        // across siblings, level increments.
+        // across siblings.
         if (!(t->Start(k) > t->Start(n) && t->End(k) < t->End(n))) {
           fail(StrFormat("tree '%s': label of %u not nested in parent %u",
                          cname.c_str(), k, n));
@@ -84,10 +84,6 @@ ValidationReport ValidateDatabase(MctDatabase& db) {
         }
         if (t->Start(k) >= t->End(k)) {
           fail(StrFormat("tree '%s': degenerate interval on %u",
-                         cname.c_str(), k));
-        }
-        if (t->Level(k) != t->Level(n) + 1) {
-          fail(StrFormat("tree '%s': level of %u is not parent level + 1",
                          cname.c_str(), k));
         }
         prev = k;

@@ -31,7 +31,7 @@ struct ValidationReport {
 ///  2. node color bitmask == the set of trees containing the node
 ///     (Definition 3.2), and the document carries every color;
 ///  3. interval labels nest strictly (child inside parent, siblings
-///     disjoint and ordered) and levels increment by one;
+///     disjoint and ordered);
 ///  4. the tag index returns exactly the elements of each (color, tag);
 ///  5. content and attribute index probes find every stored value;
 ///  6. dead nodes are members of no tree;

@@ -415,13 +415,14 @@ std::vector<Anc> AncCandidates(
 // surviving runs, concatenated in shard order, stay in ascending start
 // order. Runs only after mask filtering (the caller returns before the
 // scan on a masked color), so pruning never observes masked data.
-std::vector<NodeId> ShardPrune(const ShardMap& sm, ColorId color,
+std::vector<NodeId> ShardPrune(int shard_count,
                                const std::vector<NodeId>& descs,
                                const std::vector<Anc>& ancs,
                                const ColoredTree& ct) {
-  const size_t ns = static_cast<size_t>(sm.shard_count());
-  const std::vector<size_t> cuts = sm.CutRuns(
-      color, descs.size(), [&](size_t i) { return ct.Start(descs[i]); });
+  const ShardRanges ranges(shard_count, ct);
+  const size_t ns = static_cast<size_t>(shard_count);
+  const std::vector<size_t> cuts = ranges.CutRuns(
+      descs.size(), [&](size_t i) { return ct.Start(descs[i]); });
   // Context intervals, sorted by start (AncCandidates' order) with a
   // running max end — the O(log) disjointness probe per shard.
   std::vector<uint64_t> astarts;
@@ -440,8 +441,8 @@ std::vector<NodeId> ShardPrune(const ShardMap& sm, ColorId color,
   uint64_t pruned_shards = 0;
   for (size_t s = 0; s < ns; ++s) {
     if (cuts[s] == cuts[s + 1]) continue;  // no members here anyway
-    auto [lo, hi] = sm.Range(color, static_cast<int>(s));
-    if (ShardMap::RangeDisjoint(astarts, amax, lo, hi)) {
+    auto [lo, hi] = ranges.Range(static_cast<int>(s));
+    if (ShardRanges::RangeDisjoint(astarts, amax, lo, hi)) {
       ++pruned_shards;
       continue;
     }
@@ -545,11 +546,11 @@ Table ExpandDescendants(MctDatabase* db, const Table& in, int col,
   const std::vector<Anc> ancs = AncCandidates(groups, ct);
 
   const size_t scanned = descs.size();
-  const ShardMap* sm = db->EnsureShardMap();
-  if (sm != nullptr) descs = ShardPrune(*sm, color, descs, ancs, ct);
+  const int shards = db->shard_count();
+  if (shards > 1) descs = ShardPrune(shards, descs, ancs, ct);
 
   size_t morsels = MergeEmit(ctx, in, descs, ancs, groups, ct, &out, tr);
-  if (sm != nullptr) ShardMergeRowsCounter()->Inc(out.num_rows());
+  if (shards > 1) ShardMergeRowsCounter()->Inc(out.num_rows());
   // Re-establish row order of the left input (group expansion visits in
   // descendant order): callers that need input order should sort; FLWOR
   // semantics here only require the binding set, so we keep merge order.
@@ -617,11 +618,11 @@ Table ExpandDescendantsAmong(MctDatabase* db, const Table& in, int col,
   // candidate stream is start-sorted, so pruning routes the merge to only
   // the shards owning candidates under a live context interval.
   const size_t scanned = descs.size();
-  const ShardMap* sm = db->EnsureShardMap();
-  if (sm != nullptr) descs = ShardPrune(*sm, color, descs, ancs, ct);
+  const int shards = db->shard_count();
+  if (shards > 1) descs = ShardPrune(shards, descs, ancs, ct);
 
   size_t morsels = MergeEmit(ctx, in, descs, ancs, groups, ct, &out, tr);
-  if (sm != nullptr) ShardMergeRowsCounter()->Inc(out.num_rows());
+  if (shards > 1) ShardMergeRowsCounter()->Inc(out.num_rows());
   if (tr.enabled()) tr.Finish(out.num_rows(), morsels, scanned);
   return out;
 }

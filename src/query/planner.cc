@@ -209,7 +209,7 @@ StatementPlan PlanStatement(const std::vector<BindingDesc>& bindings,
   StatementPlan plan;
   plan.shard_count = std::max(1, stats.ShardCount());
   // Effective shard parallelism: fan-out is capped by what a typical pool
-  // can actually run side by side, so a 64-shard map doesn't make the
+  // can actually run side by side, so 64 shards don't make the
   // model believe in 64x merges.
   const double par = std::min(plan.shard_count, 8);
   plan.bindings.reserve(bindings.size());

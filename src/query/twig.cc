@@ -26,10 +26,10 @@ std::vector<StreamElem> StreamOf(MctDatabase* db, ColorId color,
                                  query::ExecStats* stats,
                                  const ExecContext& ctx) {
   std::vector<StreamElem> out;
-  ColoredTree* t = db->tree(color);
-  t->EnsureLabels();
+  db->tree(color)->EnsureLabels();
+  const ColoredTree& t = *db->tree(color);
   for (NodeId n : db->TagScan(color, tag, ctx.pool)) {  // start order
-    out.push_back(StreamElem{t->Start(n), t->End(n), n});
+    out.push_back(StreamElem{t.Start(n), t.End(n), n});
   }
   if (stats != nullptr) stats->rows_scanned += out.size();
   return out;
@@ -223,7 +223,7 @@ Result<Table> PathStackJoin(MctDatabase* db, ColorId color,
                  ctx.stats, ctx));
     if (streams.back().empty()) return out;  // some tag never occurs
   }
-  ColoredTree* t = db->tree(color);
+  const ColoredTree* t = db->tree(color);
   ResourceGovernor* gov = ctx.governor;
   const std::vector<StreamElem>& leaves =
       streams[static_cast<size_t>(k - 1)];
@@ -233,13 +233,12 @@ Result<Table> PathStackJoin(MctDatabase* db, ColorId color,
   // range start (see PathStackRange). Only the leaf stream is cut — the
   // chain above a leaf lives in earlier shards, so upper streams stay
   // whole per task. Shards with no leaves are skipped outright.
-  const ShardMap* sm = db->EnsureShardMap();
-  if (sm != nullptr && ctx.pool != nullptr && ctx.pool->num_threads() > 1 &&
-      leaves.size() > 1) {
-    const size_t ns = static_cast<size_t>(sm->shard_count());
-    const std::vector<size_t> cuts =
-        sm->CutRuns(color, leaves.size(),
-                    [&](size_t i) { return leaves[i].start; });
+  if (db->shard_count() > 1 && ctx.pool != nullptr &&
+      ctx.pool->num_threads() > 1 && leaves.size() > 1) {
+    const ShardRanges ranges(db->shard_count(), *t);
+    const size_t ns = static_cast<size_t>(ranges.shard_count());
+    const std::vector<size_t> cuts = ranges.CutRuns(
+        leaves.size(), [&](size_t i) { return leaves[i].start; });
     std::vector<Table> parts(ns);
     uint64_t tasks = 0;
     for (size_t s = 0; s < ns; ++s) {
@@ -252,7 +251,7 @@ Result<Table> PathStackJoin(MctDatabase* db, ColorId color,
       Table& part = parts[s];
       part.vars = out.vars;
       part.cols.resize(out.vars.size());
-      uint64_t lo = sm->Range(color, static_cast<int>(s)).first;
+      uint64_t lo = ranges.Range(static_cast<int>(s)).first;
       PathStackRange(pattern, streams, t, gov, lo, cuts[s], cuts[s + 1],
                      &part);
     });

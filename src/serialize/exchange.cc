@@ -42,7 +42,7 @@ void AppendPos(std::string_view color, uint64_t rank, std::string* out) {
 
 }  // namespace
 
-Result<std::string> ExportXml(MctDatabase* db,
+Result<std::string> ExportXml(const MctDatabase* db,
                               const SerializationScheme& scheme,
                               ExportStats* stats) {
   ExportStats local;

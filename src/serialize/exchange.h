@@ -76,7 +76,7 @@ struct ExportStats {
 /// Serializes the database as XML using `scheme`'s primary colors.
 /// InvalidArgument, naming the node and the attribute, when an element
 /// carries a user attribute whose name starts with "mct.".
-Result<std::string> ExportXml(MctDatabase* db,
+Result<std::string> ExportXml(const MctDatabase* db,
                               const SerializationScheme& scheme,
                               ExportStats* stats = nullptr);
 

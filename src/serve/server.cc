@@ -167,10 +167,7 @@ Result<std::unique_ptr<ColorServer>> ColorServer::Open(const std::string& dir,
       WalWriter::Open(env, WalFilePath(dir), rec.next_lsn,
                       /*truncate=*/false));
   EnsureAllLabels(*rec.db);
-  // Shard-aligned epochs: the seed snapshot publishes with its interval
-  // shard map already built, so no reader session ever pays the build.
   rec.db->SetShardCount(opts.shard_count);
-  rec.db->EnsureShardMap();
   // Seed epoch = next_lsn: monotone across restarts, so a client that
   // remembers an epoch from a previous incarnation can never mistake an
   // older state for a newer one.
@@ -187,7 +184,6 @@ Status ColorServer::Bootstrap(std::unique_ptr<MctDatabase> db) {
   MCT_RETURN_IF_ERROR(broken_);
   EnsureAllLabels(*db);
   db->SetShardCount(opts_.shard_count);
-  db->EnsureShardMap();
   MCT_RETURN_IF_ERROR(wal_->Sync());
   uint64_t covered = wal_->next_lsn() - 1;
   MCT_RETURN_IF_ERROR(CheckpointDatabase(*db, dir_, covered, env_));
@@ -230,10 +226,9 @@ Status ColorServer::Checkpoint() {
   commit_cv_.wait(lk, [&] { return commit_queue_.empty(); });
   MCT_RETURN_IF_ERROR(wal_->Sync());
   uint64_t covered = wal_->next_lsn() - 1;
-  // Checkpoint a private clone: serialization touches lazy state, and the
-  // head version is a frozen snapshot readers share.
-  std::unique_ptr<MctDatabase> clone = mvcc_.Head()->CowClone();
-  MCT_RETURN_IF_ERROR(CheckpointDatabase(*clone, dir_, covered, env_));
+  // A published version is never written again, so it is serialized in
+  // place while readers share it.
+  MCT_RETURN_IF_ERROR(CheckpointDatabase(*mvcc_.Head(), dir_, covered, env_));
   MCT_ASSIGN_OR_RETURN(wal_, WalWriter::Open(env_, WalFilePath(dir_),
                                              wal_->next_lsn(),
                                              /*truncate=*/true));
@@ -375,10 +370,6 @@ void ColorServer::ApplyBatch(const std::vector<CommitRequest*>& batch) {
   // Freeze lazy label state before anyone shares the snapshot, then
   // publish — the linearization point of every statement in the batch.
   EnsureAllLabels(*pending);
-  // Rebuild the shard map once per epoch on the committer thread (trial
-  // clones that mutated structure dropped the shared map); reader clones
-  // then share the head's map pointer and never rebuild.
-  pending->EnsureShardMap();
   uint64_t epoch =
       mvcc_.Publish(std::shared_ptr<const MctDatabase>(std::move(pending)));
   {

@@ -91,12 +91,11 @@ struct ServerOptions {
   /// admits them and relies on the evaluator layer to filter invisible
   /// nodes out of results. Sessions without a mask are unaffected.
   mcx::AnalyzeMode mask_enforcement = mcx::AnalyzeMode::kStrict;
-  /// Intra-process interval-range shards (DESIGN.md §17). Every published
-  /// snapshot carries a prebuilt shard map: Open/Bootstrap build it after
-  /// recovery, and the committer rebuilds it once per epoch before Publish,
-  /// so reader sessions never pay the build. 1 (the default) disables
-  /// sharding and leaves every code path byte-identical to the unsharded
-  /// server.
+  /// Intra-process interval-range shards (DESIGN.md §17), set on every
+  /// published snapshot: the structural operators split a color's root
+  /// interval into this many ranges where they use them. 1 (the default)
+  /// disables sharding and leaves every code path byte-identical to the
+  /// unsharded server.
   int shard_count = 1;
 };
 

@@ -1,7 +1,8 @@
 #include "xml/escape.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
+#include <system_error>
 
 #include "common/strings.h"
 
@@ -49,6 +50,15 @@ const char* AttrEntity(char c) {
   }
 }
 
+// XML 1.0's Char production: tab, LF, CR, and the code points from 0x20
+// up to 0x10FFFF except the surrogates and U+FFFE/U+FFFF.
+bool IsXmlChar(uint32_t cp) {
+  if (cp < 0x20) return cp == 0x9 || cp == 0xA || cp == 0xD;
+  if (cp >= 0xD800 && cp <= 0xDFFF) return false;
+  if (cp == 0xFFFE || cp == 0xFFFF) return false;
+  return cp <= 0x10FFFF;
+}
+
 }  // namespace
 
 void EscapeText(std::string_view s, std::string* out) {
@@ -89,27 +99,24 @@ Status AppendUnescaped(std::string_view s, std::string* out) {
     } else if (ent == "apos") {
       out->push_back('\'');
     } else if (!ent.empty() && ent[0] == '#') {
-      long code;
-      char* end = nullptr;
-      std::string body(ent.substr(1));
-      if (!body.empty() && (body[0] == 'x' || body[0] == 'X')) {
-        code = std::strtol(body.c_str() + 1, &end, 16);
-        if (end != body.c_str() + body.size()) {
-          return Status::ParseError("malformed hex character reference: &" +
-                                    std::string(ent) + ";");
-        }
-      } else {
-        code = std::strtol(body.c_str(), &end, 10);
-        if (end != body.c_str() + body.size() || body.empty()) {
-          return Status::ParseError("malformed character reference: &" +
-                                    std::string(ent) + ";");
-        }
+      // Digits only: from_chars takes no whitespace or '+', and a '-' fails
+      // the unsigned parse.
+      const bool hex = ent.size() > 1 && (ent[1] == 'x' || ent[1] == 'X');
+      const std::string_view digits = ent.substr(hex ? 2 : 1);
+      uint32_t cp = 0;
+      const auto [end, ec] = std::from_chars(
+          digits.data(), digits.data() + digits.size(), cp, hex ? 16 : 10);
+      if (ec == std::errc::invalid_argument ||
+          end != digits.data() + digits.size()) {
+        return Status::ParseError(
+            std::string(hex ? "malformed hex character reference: &"
+                            : "malformed character reference: &") +
+            std::string(ent) + ";");
       }
-      // Encode as UTF-8.
-      if (code < 0 || code > 0x10FFFF) {
+      if (ec == std::errc::result_out_of_range || !IsXmlChar(cp)) {
         return Status::ParseError("character reference out of range");
       }
-      uint32_t cp = static_cast<uint32_t>(code);
+      // Encode as UTF-8.
       if (cp < 0x80) {
         out->push_back(static_cast<char>(cp));
       } else if (cp < 0x800) {

@@ -451,9 +451,10 @@ TEST(AnalysisTest, TpcwCatalogStrictClean) {
         const std::string& stmt = *text;
         if (stmt.empty()) continue;
         AnalysisReport report;
-        auto run = workload::RunQuery(
-            db->db.get(), db->default_color(), stmt, false, 1, 1024, nullptr,
-            nullptr, AnalyzeMode::kStrict, &report);
+        auto run = workload::RunQuery(db->db.get(), stmt,
+                                      {.default_color = db->default_color(),
+                                       .analyze = AnalyzeMode::kStrict,
+                                       .check = &report});
         ASSERT_TRUE(run.ok()) << q.id << " [" << static_cast<int>(kind)
                               << "]: " << run.status().ToString() << "\n"
                               << stmt;
@@ -477,9 +478,10 @@ TEST(AnalysisTest, SigmodCatalogStrictClean) {
                                     : q.deep;
       if (stmt.empty()) continue;
       AnalysisReport report;
-      auto run = workload::RunQuery(
-          db->db.get(), db->default_color(), stmt, false, 1, 1024, nullptr,
-          nullptr, AnalyzeMode::kStrict, &report);
+      auto run = workload::RunQuery(db->db.get(), stmt,
+                                    {.default_color = db->default_color(),
+                                     .analyze = AnalyzeMode::kStrict,
+                                     .check = &report});
       ASSERT_TRUE(run.ok()) << q.id << ": " << run.status().ToString() << "\n"
                             << stmt;
       EXPECT_FALSE(report.HasErrors()) << q.id << "\n" << Codes(report);
@@ -786,13 +788,14 @@ TEST(AnalysisTest, TpcwFullMaskDifferential) {
   const ColorMask full = ColorMask::AllowOnly(all);
   for (const workload::CatalogQuery& q : workload::TpcwCatalog(data)) {
     if (q.mct.empty()) continue;
-    auto base = workload::RunQuery(db->db.get(), db->default_color(), q.mct,
+    auto base = workload::RunQuery(db->db.get(), q.mct,
+                                   {.default_color = db->default_color()},
                                    /*collect_values=*/true);
     ASSERT_TRUE(base.ok()) << q.id << ": " << base.status().ToString();
     auto masked = workload::RunQuery(
-        db->db.get(), db->default_color(), q.mct, /*collect_values=*/true,
-        1, 1024, nullptr, nullptr, AnalyzeMode::kOff, nullptr, false,
-        nullptr, nullptr, 0, 0, full);
+        db->db.get(), q.mct,
+        {.default_color = db->default_color(), .mask = full},
+        /*collect_values=*/true);
     ASSERT_TRUE(masked.ok()) << q.id << ": " << masked.status().ToString();
     EXPECT_EQ(base->result_count, masked->result_count) << q.id;
     EXPECT_EQ(base->values, masked->values) << q.id;
@@ -811,13 +814,14 @@ TEST(AnalysisTest, SigmodFullMaskDifferential) {
   const ColorMask full = ColorMask::AllowOnly(all);
   for (const workload::CatalogQuery& q : workload::SigmodCatalog(data)) {
     if (q.mct.empty()) continue;
-    auto base = workload::RunQuery(db->db.get(), db->default_color(), q.mct,
+    auto base = workload::RunQuery(db->db.get(), q.mct,
+                                   {.default_color = db->default_color()},
                                    /*collect_values=*/true);
     ASSERT_TRUE(base.ok()) << q.id << ": " << base.status().ToString();
     auto masked = workload::RunQuery(
-        db->db.get(), db->default_color(), q.mct, /*collect_values=*/true,
-        1, 1024, nullptr, nullptr, AnalyzeMode::kOff, nullptr, false,
-        nullptr, nullptr, 0, 0, full);
+        db->db.get(), q.mct,
+        {.default_color = db->default_color(), .mask = full},
+        /*collect_values=*/true);
     ASSERT_TRUE(masked.ok()) << q.id << ": " << masked.status().ToString();
     EXPECT_EQ(base->result_count, masked->result_count) << q.id;
     EXPECT_EQ(base->values, masked->values) << q.id;

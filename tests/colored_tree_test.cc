@@ -143,7 +143,6 @@ TEST(ColoredTreeTest, GapInsertBetweenSiblingsKeepsOrder) {
   EXPECT_LT(f.tree.Start(1), f.tree.Start(2));
   EXPECT_LT(f.tree.Start(2), f.tree.Start(3));
   EXPECT_TRUE(f.tree.IsAncestor(0, 2));
-  EXPECT_EQ(f.tree.Level(2), 1u);
 }
 
 TEST(ColoredTreeTest, DeepChainLevelsAndIntervals) {
@@ -156,7 +155,6 @@ TEST(ColoredTreeTest, DeepChainLevelsAndIntervals) {
   }
   f.tree.EnsureLabels();
   for (NodeId n = 1; n <= 200; ++n) {
-    EXPECT_EQ(f.tree.Level(n), n);
     EXPECT_TRUE(f.tree.IsAncestor(n - 1, n));
     EXPECT_TRUE(f.tree.IsAncestor(0, n));
   }

@@ -325,22 +325,15 @@ TEST(IndexTest, LookupRechecksValueOnHashCollision) {
 TEST(LabelTest, AncestorDescendant) {
   MovieDb f = BuildMovieDb();
   ColoredTree* red = f.db->tree(f.red);
+  red->EnsureLabels();
   EXPECT_TRUE(red->IsAncestor(f.genre_root, f.movie_eve));
   EXPECT_TRUE(red->IsAncestor(f.genre_comedy, f.role_margo));
   EXPECT_FALSE(red->IsAncestor(f.genre_drama, f.movie_eve));
   EXPECT_FALSE(red->IsAncestor(f.movie_eve, f.movie_eve));  // proper
   ColoredTree* green = f.db->tree(f.green);
+  green->EnsureLabels();
   EXPECT_TRUE(green->IsAncestor(f.award_oscar, f.movie_eve));
   EXPECT_FALSE(green->IsAncestor(f.award_1951, f.movie_eve));
-}
-
-TEST(LabelTest, LevelsPerColor) {
-  MovieDb f = BuildMovieDb();
-  // Red: doc(0) / movie-genre(1) / movie-genre(2) / movie(3).
-  EXPECT_EQ(f.db->tree(f.red)->Level(f.movie_eve), 3u);
-  // Green: doc(0) / movie-award(1) / movie-award(2) / movie(3).
-  EXPECT_EQ(f.db->tree(f.green)->Level(f.movie_eve), 3u);
-  EXPECT_EQ(f.db->tree(f.red)->Level(f.genre_root), 1u);
 }
 
 TEST(LabelTest, GapInsertAvoidsFullRelabel) {
@@ -385,6 +378,7 @@ TEST(LabelTest, PreOrderMatchesStartOrder) {
   MovieDb f = BuildMovieDb();
   for (ColorId c : {f.red, f.green, f.blue}) {
     ColoredTree* t = f.db->tree(c);
+    t->EnsureLabels();
     auto order = t->PreOrder();
     EXPECT_EQ(order.size(), t->size());
     for (size_t i = 1; i < order.size(); ++i) {
@@ -676,6 +670,7 @@ TEST_P(RandomMctProperty, InvariantsHold) {
   for (size_t ci = 0; ci < 4; ++ci) {
     ColorId c = colors[ci];
     ColoredTree* t = db.tree(c);
+    t->EnsureLabels();
     auto order = t->PreOrder();
     // 1. Every member reachable exactly once from the root.
     EXPECT_EQ(order.size(), t->size());
@@ -687,7 +682,6 @@ TEST_P(RandomMctProperty, InvariantsHold) {
         EXPECT_GT(t->Start(k), t->Start(n));
         EXPECT_LT(t->End(k), t->End(n));
         EXPECT_LT(t->Start(k), t->End(k));
-        EXPECT_EQ(t->Level(k), t->Level(n) + 1);
       }
     }
     // 4. IsAncestor agrees with a pointer-chasing oracle on random pairs.

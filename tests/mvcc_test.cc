@@ -202,9 +202,9 @@ void RunRandomizedReaderDifferential(const ServerOptions& opts) {
   EXPECT_GT(checked, 0u);
 
   // Sharded servers additionally survive a WAL-replay restart: reopen the
-  // directory (no Bootstrap), which recovers the checkpoint + WAL and
-  // rebuilds the shard map before publishing the seed epoch, and compare
-  // the recovered state to the oracle at the final epoch.
+  // directory (no Bootstrap), which recovers the checkpoint + WAL and sets
+  // the shard count before publishing the seed epoch, and compare the
+  // recovered state to the oracle at the final epoch.
   if (opts.shard_count > 1) {
     const uint64_t final_epoch = server->head_epoch();
     server.reset();  // releases the directory lock, flushes nothing extra
@@ -334,9 +334,9 @@ TEST_P(MvccStressTest, CommitsAtomicEpochsMonotone) {
 INSTANTIATE_TEST_SUITE_P(Sessions, MvccStressTest, ::testing::Values(2, 8));
 
 // The same atomicity battery with 4 interval-range shards: concurrent
-// commits rebuild the shard map once per epoch on the committer thread
-// while readers share the published map pointer — runs under the tsan
-// preset like the rest of this file.
+// commits publish epochs while readers split each color's root interval
+// into shard ranges as they read — runs under the tsan preset like the
+// rest of this file.
 TEST(ShardedChaosTest, CommitsAtomicEpochsMonotoneAcrossShards) {
   ServerOptions opts;
   opts.max_concurrent_writers = 2;
@@ -876,6 +876,80 @@ TEST(ShardedChaosTest, MaskedTenantsNeverLeakAcrossShards) {
   ServerOptions opts;
   opts.shard_count = 4;
   RunDisjointTenantChaos(opts, 8);
+}
+
+// ---------------------------------------------------------------------------
+// 5. Checkpoints under load.
+// ---------------------------------------------------------------------------
+
+// ColorServer::Checkpoint serializes the published head version in place
+// while reader sessions share it and a writer commits. Reopening the
+// directory must recover every acknowledged commit, and replay from the
+// WAL only the commits made after the last checkpoint.
+TEST(ServeCheckpointTest, CheckpointUnderLoadKeepsEveryAcknowledgedCommit) {
+  FaultInjectionEnv env;
+  auto server = OpenServer(&env);
+  const char* movies[] = {"All About Eve", "City Lights", "Sunset Boulevard"};
+  std::set<std::string> acked;
+  auto commit = [&](Session* session, int k, const std::string& label) {
+    auto r = session->Run(InsertTick(movies[k % 3], label));
+    EXPECT_TRUE(r.ok()) << r.status();
+    if (r.ok()) acked.insert(label);
+  };
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  for (int i = 0; i < 2; ++i) {
+    readers.emplace_back([&, i] {
+      auto session = server->Connect();
+      ASSERT_TRUE(session.ok()) << session.status();
+      for (int k = 0; !stop.load(); ++k) {
+        ASSERT_TRUE((*session)->Begin().ok());
+        auto r = (*session)->Run(kReads[(i + k) % 4]);
+        ASSERT_TRUE(r.ok()) << r.status();
+        ASSERT_TRUE((*session)->Commit().ok());
+      }
+    });
+  }
+  constexpr int kDuring = 24;
+  auto writer_session = server->Connect();
+  ASSERT_TRUE(writer_session.ok()) << writer_session.status();
+  std::atomic<int> committed{0};
+  std::thread writer([&] {
+    for (int k = 0; k < kDuring; ++k) {
+      commit(writer_session->get(), k, "during-" + std::to_string(k));
+      committed.fetch_add(1);
+    }
+  });
+  // Checkpoint four times while the writer is committing, then once after.
+  for (int c = 1; c <= 4; ++c) {
+    while (committed.load() < c * kDuring / 5) std::this_thread::yield();
+    EXPECT_TRUE(server->Checkpoint().ok());
+  }
+  writer.join();
+  ASSERT_TRUE(server->Checkpoint().ok());
+  constexpr int kAfter = 5;
+  for (int k = 0; k < kAfter; ++k) {
+    commit(writer_session->get(), k, "after-" + std::to_string(k));
+  }
+  stop.store(true);
+  for (auto& t : readers) t.join();
+  ASSERT_EQ(acked.size(), static_cast<size_t>(kDuring + kAfter));
+  writer_session->reset();
+  server.reset();
+
+  auto recovered = RecoverDatabase(kDir, &env);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_EQ(recovered->replayed_records, static_cast<uint64_t>(kAfter));
+  mcx::Evaluator ev(recovered->db.get(), {});
+  auto ticks = ev.Run(kReads[1]);
+  ASSERT_TRUE(ticks.ok()) << ticks.status();
+  std::set<std::string> found;
+  for (const mcx::Item& it : ticks->items) {
+    found.insert(recovered->db->Content(it.node));
+  }
+  EXPECT_EQ(found, acked);
+  EXPECT_EQ(ticks->items.size(), acked.size());
 }
 
 }  // namespace

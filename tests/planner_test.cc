@@ -315,7 +315,7 @@ template <typename DbT>
 void ShardedCatalogDifferential(const std::vector<CatalogQuery>& queries,
                                 DbT* mct_db, DbT* shallow_db, DbT* deep_db) {
   // One detached clone per (base db, shard count): COW snapshot with its
-  // own shard map; the base stays unsharded as the oracle.
+  // own shard count; the base stays unsharded as the oracle.
   std::map<std::pair<MctDatabase*, int>, std::unique_ptr<MctDatabase>> clones;
   auto sharded = [&](MctDatabase* base, int shards) -> MctDatabase* {
     auto key = std::make_pair(base, shards);

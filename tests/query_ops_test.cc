@@ -642,13 +642,16 @@ TEST(ParallelDeterminismTest, TpcwCatalogEndToEnd) {
                           {&*shallow_db, &q.shallow, "shallow"}};
     for (const Dialect& d : dialects) {
       if (d.text->empty()) continue;
-      auto serial = RunQuery(d.db->db.get(), d.db->default_color(), *d.text,
+      auto serial = RunQuery(d.db->db.get(), *d.text,
+                             {.default_color = d.db->default_color()},
                              /*collect_values=*/true);
       ASSERT_TRUE(serial.ok()) << q.id << " " << d.name;
       for (int threads : {2, 8}) {
-        auto par = RunQuery(d.db->db.get(), d.db->default_color(), *d.text,
-                            /*collect_values=*/true, threads,
-                            /*morsel_size=*/4);
+        auto par = RunQuery(d.db->db.get(), *d.text,
+                            {.default_color = d.db->default_color(),
+                             .num_threads = threads,
+                             .morsel_size = 4},
+                            /*collect_values=*/true);
         ASSERT_TRUE(par.ok()) << q.id << " " << d.name << " x" << threads;
         EXPECT_EQ(par->result_count, serial->result_count)
             << q.id << " " << d.name << " x" << threads;

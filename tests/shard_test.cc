@@ -1,17 +1,15 @@
 // Interval-range sharding tests (DESIGN.md §17).
 //
 // Layers under test:
-//  1. ShardMap mechanics: boundary exact cover, ShardOf/Range/CutRuns
+//  1. ShardRanges mechanics: boundary exact cover, ShardOf/Range/CutRuns
 //     agreement, and the conservative RangeDisjoint pruning rule checked
 //     against a brute-force oracle;
-//  2. map lifecycle: shard_count=1 means *no* map, structural mutations
-//     invalidate only the mutating MVCC version, clones share the pointer;
-//  3. differential identity: every movie-fixture query — unmasked and
+//  2. differential identity: every movie-fixture query — unmasked and
 //     masked — is item- and ExecStats-identical across shard counts
 //     {1, 2, 4, 8}, threads {1, 8}, planner on/off;
-//  4. the mct.shard.* metrics family: pruning actually fires on a
+//  3. the mct.shard.* metrics family: pruning actually fires on a
 //     selective descendant expansion and never changes its result;
-//  5. plan-cache isolation: entries planned under different shard counts
+//  4. plan-cache isolation: entries planned under different shard counts
 //     never cross (the shard-sliced fingerprint).
 
 #include <gtest/gtest.h>
@@ -37,36 +35,33 @@ using testfix::MovieDb;
 using testfix::MustCreate;
 
 // ---------------------------------------------------------------------------
-// 1. ShardMap mechanics.
+// 1. ShardRanges mechanics.
 // ---------------------------------------------------------------------------
 
 TEST(ShardMapTest, BoundariesCoverExactlyAndShardOfAgrees) {
   MovieDb m = BuildMovieDb();
-  m.db->SetShardCount(4);
-  const ShardMap* sm = m.db->EnsureShardMap();
-  ASSERT_NE(sm, nullptr);
-  EXPECT_EQ(sm->shard_count(), 4);
-  EXPECT_EQ(sm->color_count(), m.db->num_colors());
-
   for (ColorId c : {m.red, m.green, m.blue}) {
     ColoredTree* t = m.db->tree(c);
+    t->EnsureLabels();
+    const ShardRanges ranges(4, *t);
+    EXPECT_EQ(ranges.shard_count(), 4);
     const uint64_t lo = t->Start(t->root());
     const uint64_t hi = t->End(t->root()) + 1;  // half-open
     // Exact cover: first range starts at the root's start, last ends one
     // past the root's end, ranges tile without gaps.
-    EXPECT_EQ(sm->Range(c, 0).first, lo);
-    EXPECT_EQ(sm->Range(c, 3).second, hi);
+    EXPECT_EQ(ranges.Range(0).first, lo);
+    EXPECT_EQ(ranges.Range(3).second, hi);
     for (int s = 0; s + 1 < 4; ++s) {
-      EXPECT_EQ(sm->Range(c, s).second, sm->Range(c, s + 1).first);
-      EXPECT_LE(sm->Range(c, s).first, sm->Range(c, s).second);
+      EXPECT_EQ(ranges.Range(s).second, ranges.Range(s + 1).first);
+      EXPECT_LE(ranges.Range(s).first, ranges.Range(s).second);
     }
     // ShardOf maps every range endpoint (and midpoint) into its range.
     for (int s = 0; s < 4; ++s) {
-      auto [a, b] = sm->Range(c, s);
+      auto [a, b] = ranges.Range(s);
       if (a < b) {
-        EXPECT_EQ(sm->ShardOf(c, a), s);
-        EXPECT_EQ(sm->ShardOf(c, a + (b - a) / 2), s);
-        EXPECT_EQ(sm->ShardOf(c, b - 1), s);
+        EXPECT_EQ(ranges.ShardOf(a), s);
+        EXPECT_EQ(ranges.ShardOf(a + (b - a) / 2), s);
+        EXPECT_EQ(ranges.ShardOf(b - 1), s);
       }
     }
   }
@@ -74,23 +69,21 @@ TEST(ShardMapTest, BoundariesCoverExactlyAndShardOfAgrees) {
 
 TEST(ShardMapTest, CutRunsMatchesShardOfPartition) {
   MovieDb m = BuildMovieDb();
-  m.db->SetShardCount(4);
-  const ShardMap* sm = m.db->EnsureShardMap();
-  ASSERT_NE(sm, nullptr);
-
-  // All red "name" elements in document order (TagScan is start-sorted).
+  // All red "name" elements in document order (TagScan is start-sorted
+  // and leaves the red labels clean).
   std::vector<NodeId> names = m.db->TagScan(m.red, "name");
   ASSERT_GT(names.size(), 4u);
-  ColoredTree* t = m.db->tree(m.red);
-  std::vector<size_t> cuts = sm->CutRuns(
-      m.red, names.size(), [&](size_t i) { return t->Start(names[i]); });
+  const ColoredTree& t = *m.db->tree(m.red);
+  const ShardRanges ranges(4, t);
+  std::vector<size_t> cuts = ranges.CutRuns(
+      names.size(), [&](size_t i) { return t.Start(names[i]); });
   ASSERT_EQ(cuts.size(), 5u);
   EXPECT_EQ(cuts[0], 0u);
   EXPECT_EQ(cuts[4], names.size());
   for (int s = 0; s < 4; ++s) {
     ASSERT_LE(cuts[s], cuts[s + 1]);
     for (size_t i = cuts[s]; i < cuts[s + 1]; ++i) {
-      EXPECT_EQ(sm->ShardOf(m.red, t->Start(names[i])), s)
+      EXPECT_EQ(ranges.ShardOf(t.Start(names[i])), s)
           << "element " << i << " cut into the wrong shard run";
     }
   }
@@ -122,7 +115,7 @@ TEST(ShardMapTest, RangeDisjointMatchesBruteForce) {
       for (auto& [a, b] : ivs) {
         if (a < hi && b > lo) brute_intersects = true;
       }
-      EXPECT_EQ(ShardMap::RangeDisjoint(starts, pmax, lo, hi),
+      EXPECT_EQ(ShardRanges::RangeDisjoint(starts, pmax, lo, hi),
                 !brute_intersects)
           << "lo=" << lo << " hi=" << hi;
     }
@@ -130,58 +123,7 @@ TEST(ShardMapTest, RangeDisjointMatchesBruteForce) {
 }
 
 // ---------------------------------------------------------------------------
-// 2. Map lifecycle: null at 1 shard, shard-local invalidation, COW sharing.
-// ---------------------------------------------------------------------------
-
-TEST(ShardLifecycleTest, SingleShardMeansNoMap) {
-  MovieDb m = BuildMovieDb();
-  EXPECT_EQ(m.db->shard_count(), 1);
-  EXPECT_EQ(m.db->EnsureShardMap(), nullptr);
-  EXPECT_EQ(m.db->shard_map(), nullptr);
-  // Going sharded and back drops the map again.
-  m.db->SetShardCount(4);
-  EXPECT_NE(m.db->EnsureShardMap(), nullptr);
-  m.db->SetShardCount(1);
-  EXPECT_EQ(m.db->EnsureShardMap(), nullptr);
-  EXPECT_EQ(m.db->shard_map(), nullptr);
-}
-
-TEST(ShardLifecycleTest, StructuralMutationInvalidatesAndRebuilds) {
-  MovieDb m = BuildMovieDb();
-  m.db->SetShardCount(4);
-  const ShardMap* sm1 = m.db->EnsureShardMap();
-  ASSERT_NE(sm1, nullptr);
-  // Idempotent while nothing changes.
-  EXPECT_EQ(m.db->EnsureShardMap(), sm1);
-  // A structural mutation drops the map; the next Ensure rebuilds it.
-  MustCreate(*m.db, m.red, m.genre_drama, "movie");
-  EXPECT_EQ(m.db->shard_map(), nullptr);
-  const ShardMap* sm2 = m.db->EnsureShardMap();
-  ASSERT_NE(sm2, nullptr);
-  EXPECT_EQ(sm2->color_count(), m.db->num_colors());
-}
-
-TEST(ShardLifecycleTest, CowClonesShareTheMapAndInvalidateLocally) {
-  MovieDb m = BuildMovieDb();
-  m.db->SetShardCount(4);
-  const ShardMap* sm = m.db->EnsureShardMap();
-  ASSERT_NE(sm, nullptr);
-
-  std::unique_ptr<MctDatabase> clone = m.db->CowClone();
-  // The clone shares the immutable map — no rebuild on the reader path.
-  EXPECT_EQ(clone->shard_map(), sm);
-  EXPECT_EQ(clone->shard_count(), 4);
-
-  // Mutating the clone invalidates only the clone's pointer.
-  MustCreate(*clone, m.red, m.genre_drama, "movie");
-  EXPECT_EQ(clone->shard_map(), nullptr);
-  EXPECT_EQ(m.db->shard_map(), sm) << "clone mutation leaked to the parent";
-  EXPECT_NE(clone->EnsureShardMap(), nullptr);
-  EXPECT_EQ(m.db->shard_map(), sm);
-}
-
-// ---------------------------------------------------------------------------
-// 3. Differential identity across shard counts, threads, planner, masks.
+// 2. Differential identity across shard counts, threads, planner, masks.
 // ---------------------------------------------------------------------------
 
 struct RunOutput {
@@ -315,7 +257,7 @@ TEST(ShardDifferentialTest, MaskedResultsIdenticalAcrossShardCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// 4. mct.shard.* metrics: pruning fires on a selective expansion.
+// 3. mct.shard.* metrics: pruning fires on a selective expansion.
 // ---------------------------------------------------------------------------
 
 TEST(ShardMetricsTest, SelectiveDescendantPrunesShardsWithoutChangingResults) {
@@ -358,7 +300,7 @@ TEST(ShardMetricsTest, SelectiveDescendantPrunesShardsWithoutChangingResults) {
 }
 
 // ---------------------------------------------------------------------------
-// 5. Plan-cache slices: shard counts never share entries.
+// 4. Plan-cache slices: shard counts never share entries.
 // ---------------------------------------------------------------------------
 
 TEST(ShardPlanCacheTest, EntriesNeverCrossShardCounts) {

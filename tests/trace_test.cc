@@ -213,10 +213,16 @@ TEST(TraceDifferentialTest, TpcwMorselCountsUnderParallelPool) {
 
   QueryTrace t1;
   QueryTrace t8;
-  auto r1 = RunQuery(db1->db.get(), db1->default_color(), text, false, 1, 64,
-                     &t1);
-  auto r8 = RunQuery(db8->db.get(), db8->default_color(), text, false, 8, 64,
-                     &t8);
+  auto r1 = RunQuery(db1->db.get(), text,
+                     {.default_color = db1->default_color(),
+                      .trace = &t1,
+                      .num_threads = 1,
+                      .morsel_size = 64});
+  auto r8 = RunQuery(db8->db.get(), text,
+                     {.default_color = db8->default_color(),
+                      .trace = &t8,
+                      .num_threads = 8,
+                      .morsel_size = 64});
   ASSERT_TRUE(r1.ok()) << r1.status();
   ASSERT_TRUE(r8.ok()) << r8.status();
   EXPECT_EQ(r1->result_count, r8->result_count);

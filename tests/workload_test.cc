@@ -143,19 +143,21 @@ TEST_F(TpcwEquivalence, AllReadQueriesAgreeAcrossSchemas) {
   for (const CatalogQuery& q : catalog) {
     if (q.is_update) continue;
     SCOPED_TRACE(q.id + ": " + q.description);
-    auto rm = RunQuery(mct_->db.get(), mct_->default_color(), q.mct, true);
+    auto rm = RunQuery(mct_->db.get(), q.mct,
+                       {.default_color = mct_->default_color()}, true);
     ASSERT_TRUE(rm.ok()) << "MCT: " << rm.status() << "\n" << q.mct;
-    auto rs = RunQuery(shallow_->db.get(), shallow_->default_color(),
-                       q.shallow, true);
+    auto rs = RunQuery(shallow_->db.get(), q.shallow,
+                       {.default_color = shallow_->default_color()}, true);
     ASSERT_TRUE(rs.ok()) << "shallow: " << rs.status() << "\n" << q.shallow;
-    auto rd = RunQuery(deep_->db.get(), deep_->default_color(), q.deep, true);
+    auto rd = RunQuery(deep_->db.get(), q.deep,
+                       {.default_color = deep_->default_color()}, true);
     ASSERT_TRUE(rd.ok()) << "deep: " << rd.status() << "\n" << q.deep;
     EXPECT_GT(rm->result_count, 0u) << "query should be satisfiable";
     EXPECT_EQ(SortedValues(*rm), SortedValues(*rs)) << "MCT vs shallow";
     EXPECT_EQ(SortedValues(*rm), SortedValues(*rd)) << "MCT vs deep";
     if (!q.deep_nodup.empty()) {
-      auto rdn = RunQuery(deep_->db.get(), deep_->default_color(),
-                          q.deep_nodup, true);
+      auto rdn = RunQuery(deep_->db.get(), q.deep_nodup,
+                          {.default_color = deep_->default_color()}, true);
       ASSERT_TRUE(rdn.ok()) << rdn.status();
       // The duplicate-free variant returns at least as many rows, and its
       // distinct values match.
@@ -172,10 +174,11 @@ TEST_F(TpcwEquivalence, JoinAnatomyMatchesAnnotations) {
   for (const CatalogQuery& q : catalog) {
     if (q.is_update) continue;
     SCOPED_TRACE(q.id);
-    auto rm = RunQuery(mct_->db.get(), mct_->default_color(), q.mct, false);
+    auto rm = RunQuery(mct_->db.get(), q.mct,
+                       {.default_color = mct_->default_color()});
     ASSERT_TRUE(rm.ok());
-    auto rs = RunQuery(shallow_->db.get(), shallow_->default_color(),
-                       q.shallow, false);
+    auto rs = RunQuery(shallow_->db.get(), q.shallow,
+                       {.default_color = shallow_->default_color()});
     ASSERT_TRUE(rs.ok());
     // MCT color crossings = colors - 1 (on the main path; predicates may
     // navigate extra colors without a bulk crossing).
@@ -204,11 +207,14 @@ TEST_F(TpcwEquivalence, UpdatesAffectSameLogicalElements) {
   for (const CatalogQuery& q : catalog) {
     if (!q.is_update) continue;
     SCOPED_TRACE(q.id + ": " + q.description);
-    auto rm = RunQuery(m->db.get(), m->default_color(), q.mct, false);
+    auto rm = RunQuery(m->db.get(), q.mct,
+                       {.default_color = m->default_color()});
     ASSERT_TRUE(rm.ok()) << "MCT: " << rm.status() << "\n" << q.mct;
-    auto rs = RunQuery(s->db.get(), s->default_color(), q.shallow, false);
+    auto rs = RunQuery(s->db.get(), q.shallow,
+                       {.default_color = s->default_color()});
     ASSERT_TRUE(rs.ok()) << "shallow: " << rs.status();
-    auto rd = RunQuery(dp->db.get(), dp->default_color(), q.deep, false);
+    auto rd = RunQuery(dp->db.get(), q.deep,
+                       {.default_color = dp->default_color()});
     ASSERT_TRUE(rd.ok()) << "deep: " << rd.status();
     EXPECT_GT(rm->result_count, 0u);
     // MCT and shallow store each element once: identical counts. Deep pays
@@ -236,12 +242,14 @@ TEST_F(SigmodEquivalence, AllReadQueriesAgreeAcrossSchemas) {
   for (const CatalogQuery& q : catalog) {
     if (q.is_update) continue;
     SCOPED_TRACE(q.id + ": " + q.description);
-    auto rm = RunQuery(mct_.db.get(), mct_.default_color(), q.mct, true);
+    auto rm = RunQuery(mct_.db.get(), q.mct,
+                       {.default_color = mct_.default_color()}, true);
     ASSERT_TRUE(rm.ok()) << "MCT: " << rm.status() << "\n" << q.mct;
-    auto rs =
-        RunQuery(shallow_.db.get(), shallow_.default_color(), q.shallow, true);
+    auto rs = RunQuery(shallow_.db.get(), q.shallow,
+                       {.default_color = shallow_.default_color()}, true);
     ASSERT_TRUE(rs.ok()) << "shallow: " << rs.status();
-    auto rd = RunQuery(deep_.db.get(), deep_.default_color(), q.deep, true);
+    auto rd = RunQuery(deep_.db.get(), q.deep,
+                       {.default_color = deep_.default_color()}, true);
     ASSERT_TRUE(rd.ok()) << "deep: " << rd.status();
     EXPECT_GT(rm->result_count, 0u);
     EXPECT_EQ(SortedValues(*rm), SortedValues(*rs)) << "MCT vs shallow";
@@ -254,12 +262,14 @@ TEST_F(SigmodEquivalence, UpdatesAffectSameLogicalElements) {
   for (const CatalogQuery& q : catalog) {
     if (!q.is_update) continue;
     SCOPED_TRACE(q.id);
-    auto rm = RunQuery(mct_.db.get(), mct_.default_color(), q.mct, false);
+    auto rm = RunQuery(mct_.db.get(), q.mct,
+                       {.default_color = mct_.default_color()});
     ASSERT_TRUE(rm.ok()) << rm.status() << "\n" << q.mct;
-    auto rs =
-        RunQuery(shallow_.db.get(), shallow_.default_color(), q.shallow, false);
+    auto rs = RunQuery(shallow_.db.get(), q.shallow,
+                       {.default_color = shallow_.default_color()});
     ASSERT_TRUE(rs.ok()) << rs.status();
-    auto rd = RunQuery(deep_.db.get(), deep_.default_color(), q.deep, false);
+    auto rd = RunQuery(deep_.db.get(), q.deep,
+                       {.default_color = deep_.default_color()});
     ASSERT_TRUE(rd.ok()) << rd.status();
     EXPECT_EQ(rm->result_count, rs->result_count);
     EXPECT_GE(rd->result_count, rm->result_count);

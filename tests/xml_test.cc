@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "xml/dom.h"
 #include "xml/escape.h"
 #include "xml/name_pool.h"
@@ -71,6 +74,53 @@ TEST(EscapeTest, MalformedEntitiesError) {
   EXPECT_TRUE(Unescape("&#;").status().IsParseError());
   EXPECT_TRUE(Unescape("a & b").status().IsParseError());
   EXPECT_TRUE(Unescape("&#1114112;").status().IsParseError());  // > 0x10FFFF
+}
+
+// A character reference is '&#' decimal digits ';' or '&#x' hex digits ';'
+// naming a code point of XML's Char production: no whitespace, no sign, no
+// empty body, no NUL, C0 control (but tab, LF, CR), surrogate, U+FFFE/FFFF
+// or code point past U+10FFFF. Each bad form is refused by Unescape and by
+// Parse, in text and in an attribute value.
+TEST(EscapeTest, CharacterReferencesAreDigitsNamingAnXmlChar) {
+  EXPECT_EQ(*Unescape("&#65;"), "A");
+  EXPECT_EQ(*Unescape("&#x41;"), "A");
+  EXPECT_EQ(*Unescape("&#10;"), "\n");
+  EXPECT_EQ(*Unescape("&#x1F600;"), "\xF0\x9F\x98\x80");  // 4-byte UTF-8
+  EXPECT_EQ(*Unescape("&#9;&#13;&#x10FFFF;"), "\t\r\xF4\x8F\xBF\xBF");
+  const std::pair<std::string, std::string> kBad[] = {
+      {"&# 65;", "malformed character reference: &# 65;"},
+      {"&#+65;", "malformed character reference: &#+65;"},
+      {"&#-65;", "malformed character reference: &#-65;"},
+      {"&#65 ;", "malformed character reference: &#65 ;"},
+      {"&#x 41;", "malformed hex character reference: &#x 41;"},
+      {"&#x+41;", "malformed hex character reference: &#x+41;"},
+      {"&#x-41;", "malformed hex character reference: &#x-41;"},
+      {"&#x;", "malformed hex character reference: &#x;"},
+      {"&#0;", "character reference out of range"},
+      {"&#x0;", "character reference out of range"},
+      {"&#8;", "character reference out of range"},
+      {"&#x1F;", "character reference out of range"},
+      {"&#xD800;", "character reference out of range"},
+      {"&#xDFFF;", "character reference out of range"},
+      {"&#xFFFE;", "character reference out of range"},
+      {"&#xFFFF;", "character reference out of range"},
+      {"&#x110000;", "character reference out of range"},
+      {"&#99999999999999999999;", "character reference out of range"},
+  };
+  for (const auto& [ref, message] : kBad) {
+    SCOPED_TRACE(ref);
+    auto unescaped = Unescape(ref);
+    ASSERT_FALSE(unescaped.ok());
+    EXPECT_TRUE(unescaped.status().IsParseError());
+    EXPECT_EQ(unescaped.status().message(), message);
+    for (const std::string& doc :
+         {"<a>" + ref + "</a>", "<a x='" + ref + "'/>"}) {
+      auto parsed = Parse(doc);
+      ASSERT_FALSE(parsed.ok()) << doc;
+      EXPECT_TRUE(parsed.status().IsParseError()) << doc;
+      EXPECT_EQ(parsed.status().message(), message) << doc;
+    }
+  }
 }
 
 TEST(DomTest, StringValueConcatenatesDescendants) {
