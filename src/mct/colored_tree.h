@@ -36,21 +36,11 @@
 #include <vector>
 
 #include "common/cow.h"
-#include "common/metrics.h"
 #include "common/result.h"
 #include "mct/color.h"
 #include "mct/node_store.h"
 
 namespace mct {
-
-/// Children visited across all ForEachChild calls (process-wide, batched:
-/// one relaxed add per call). Pointer resolved once; registrations survive
-/// MetricsRegistry::ResetForTest so it never dangles.
-inline Counter* TreeChildIterCounter() {
-  static Counter* c =
-      MetricsRegistry::Global().counter("mct.tree.child_iter");
-  return c;
-}
 
 class ColoredTree {
  public:
@@ -99,17 +89,14 @@ class ColoredTree {
   void ForEachChild(NodeId node, Fn&& fn) const {
     const StructNode* sn = nodes_.Find(node);
     if (sn == nullptr) return;
-    uint64_t visited = 0;
     NodeId c = sn->first_child;
     while (c != kInvalidNodeId) {
       const StructNode* cn = nodes_.Find(c);
       assert(cn != nullptr);
       NodeId next = cn->next_sibling;
-      ++visited;
       fn(c);
       c = next;
     }
-    if (visited != 0) TreeChildIterCounter()->Inc(visited);
   }
 
   /// Pre-order (local document order) of the whole tree.

@@ -351,13 +351,17 @@ namespace {
 constexpr size_t kShardSortMin = 4096;
 }  // namespace
 
+const std::vector<NodeId>* MctDatabase::TagPostings(
+    ColorId color, std::string_view tag) const {
+  NameId tag_id = store_.names().Lookup(tag);
+  if (tag_id == kInvalidNameId || color >= trees_.size()) return nullptr;
+  return ImageFind(Image(kTagImage), TagKey(color, tag_id));
+}
+
 std::vector<NodeId> MctDatabase::TagScan(ColorId color, std::string_view tag,
                                          ThreadPool* pool) {
   std::vector<NodeId> out;
-  NameId tag_id = store_.names().Lookup(tag);
-  if (tag_id == kInvalidNameId || color >= trees_.size()) return out;
-  const std::vector<NodeId>* list =
-      ImageFind(Image(kTagImage), TagKey(color, tag_id));
+  const std::vector<NodeId>* list = TagPostings(color, tag);
   if (list == nullptr) return out;
   out = *list;
   // Posting order is by node id (stable under relabeling); re-establish the
@@ -431,10 +435,7 @@ std::vector<NodeId> MctDatabase::AttrLookup(std::string_view name,
 }
 
 size_t MctDatabase::TagCount(ColorId color, std::string_view tag) const {
-  NameId tag_id = store_.names().Lookup(tag);
-  if (tag_id == kInvalidNameId || color >= trees_.size()) return 0;
-  const std::vector<NodeId>* list =
-      ImageFind(Image(kTagImage), TagKey(color, tag_id));
+  const std::vector<NodeId>* list = TagPostings(color, tag);
   return list == nullptr ? 0 : list->size();
 }
 

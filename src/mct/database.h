@@ -111,9 +111,10 @@ class MctDatabase {
   /// list. The destructor finishes a load that returns early, so the
   /// images agree with the trees on every exit path. An erase during the
   /// load (an overwritten value) first builds that image's pending entries
-  /// in. Index reads (TagScan, TagCount, ContentLookup, AttrLookup,
-  /// ForEachElementCount) and CowClone wait for Finish (asserted); loaders
-  /// do not nest. Finish runs no label pass: labels stay lazy.
+  /// in. Index reads (TagScan, TagPostings, TagCount, ContentLookup,
+  /// AttrLookup, ForEachElementCount) and CowClone wait for Finish
+  /// (asserted); loaders do not nest. Finish runs no label pass: labels
+  /// stay lazy.
   class Loader {
    public:
     explicit Loader(MctDatabase* db);
@@ -213,6 +214,12 @@ class MctDatabase {
   /// serial sort because shard ranges are disjoint and ordered.
   std::vector<NodeId> TagScan(ColorId color, std::string_view tag,
                               ThreadPool* pool = nullptr);
+
+  /// All elements with `tag` in `color`, read in place from the tag index:
+  /// ascending NodeId order, null when there are none. Valid until the
+  /// next write to this database.
+  const std::vector<NodeId>* TagPostings(ColorId color,
+                                         std::string_view tag) const;
 
   // ---- Interval-range sharding (DESIGN.md §17) ----
 

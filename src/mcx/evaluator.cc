@@ -1,7 +1,9 @@
 #include "mcx/evaluator.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <set>
 #include <unordered_set>
 
@@ -134,7 +136,7 @@ bool NumericCompare(CmpOp op, double a, double b) {
   return false;
 }
 
-bool StringCompareOp(CmpOp op, const std::string& a, const std::string& b) {
+bool StringCompareOp(CmpOp op, std::string_view a, std::string_view b) {
   switch (op) {
     case CmpOp::kEq: return a == b;
     case CmpOp::kNe: return a != b;
@@ -146,13 +148,41 @@ bool StringCompareOp(CmpOp op, const std::string& a, const std::string& b) {
   return false;
 }
 
+// An atomized comparison operand, number-parsed once: its text and, when
+// the whole text parses as a number, that number.
+struct Atom {
+  std::string_view text;
+  std::optional<double> num;
+};
+
+Atom ParseAtom(std::string_view text) { return Atom{text, ParseDouble(text)}; }
+
 // XQuery-style general comparison on atomized values: numeric when both
-// sides parse as numbers.
-bool CompareValues(CmpOp op, const std::string& a, const std::string& b) {
-  auto na = ParseDouble(a);
-  auto nb = ParseDouble(b);
-  if (na.has_value() && nb.has_value()) return NumericCompare(op, *na, *nb);
-  return StringCompareOp(op, a, b);
+// sides parse as numbers, else by string. Every value comparison of the
+// evaluator (where clauses, step predicates, joins) ends here.
+bool CompareAtoms(CmpOp op, const Atom& a, const Atom& b) {
+  if (a.num.has_value() && b.num.has_value()) {
+    return NumericCompare(op, *a.num, *b.num);
+  }
+  return StringCompareOp(op, a.text, b.text);
+}
+
+bool CompareValues(CmpOp op, std::string_view a, std::string_view b) {
+  return CompareAtoms(op, ParseAtom(a), ParseAtom(b));
+}
+
+// One pair of a general comparison over items: node identity for = and !=
+// between two nodes (the `[. = $m]` correlation of Figure 3's Q3), else
+// CompareAtoms on the atomized values, which `atom_l` / `atom_r` produce
+// only when asked. kInvalidNodeId marks an atomic item.
+template <typename AtomL, typename AtomR>
+bool ComparePair(CmpOp op, NodeId l, NodeId r, AtomL&& atom_l,
+                 AtomR&& atom_r) {
+  if (l != kInvalidNodeId && r != kInvalidNodeId &&
+      (op == CmpOp::kEq || op == CmpOp::kNe)) {
+    return (l == r) == (op == CmpOp::kEq);
+  }
+  return CompareAtoms(op, atom_l(), atom_r());
 }
 
 std::string FormatNumber(double v) {
@@ -733,35 +763,47 @@ Result<std::vector<Item>> Evaluator::EvalFLWOR(const Expr& flwor,
   base.b = &b;
   base.env = &env;
   // order by: decorate-sort on the evaluated key. Key evaluation (the
-  // expensive part) fans out per row when the key expression is pure; the
-  // sort stays serial and stable.
+  // expensive part) fans out per row when the key expression is pure, and
+  // parses each key once; the sort stays serial and stable.
   if (flwor.order_by != nullptr) {
     const auto sort_t0 = std::chrono::steady_clock::now();
     const size_t n_rows = b.table.num_rows();
-    std::vector<std::pair<std::string, uint32_t>> keyed(n_rows);
+    struct SortKey {
+      std::string text;
+      std::optional<double> num;  // the text's number, unless it is NaN
+      uint32_t row = 0;
+    };
+    std::vector<SortKey> keyed(n_rows);
     MCT_RETURN_IF_ERROR(ForRows(
         n_rows, IsPureExpr(*flwor.order_by), [&](size_t i) {
           EvalCtx c = base;
           c.row = i;
           std::vector<Item> items;
           MCT_ASSIGN_OR_RETURN(items, EvalExpr(c, *flwor.order_by));
-          keyed[i] = {items.empty() ? "" : Atomize(items[0]),
-                      static_cast<uint32_t>(i)};
+          SortKey& k = keyed[i];
+          if (!items.empty()) k.text = Atomize(items[0]);
+          k.num = ParseDouble(k.text);
+          if (k.num.has_value() && std::isnan(*k.num)) k.num.reset();
+          k.row = static_cast<uint32_t>(i);
           return Status::OK();
         }));
-    bool desc = flwor.order_descending;
+    // A strict weak order, as std::stable_sort requires: numbers by value
+    // before every other key, the other keys by string. (Comparing two keys
+    // as numbers when both parse and as strings otherwise is not transitive:
+    // 9 < 10 < "1a" < "9".)
+    auto less = [](const SortKey& x, const SortKey& y) {
+      if (x.num.has_value() != y.num.has_value()) return x.num.has_value();
+      if (x.num.has_value()) return *x.num < *y.num;
+      return x.text < y.text;
+    };
+    const bool desc = flwor.order_descending;
     std::stable_sort(keyed.begin(), keyed.end(),
-                     [&](const auto& x, const auto& y) {
-                       auto nx = ParseDouble(x.first);
-                       auto ny = ParseDouble(y.first);
-                       if (nx.has_value() && ny.has_value()) {
-                         return desc ? *nx > *ny : *nx < *ny;
-                       }
-                       return desc ? x.first > y.first : x.first < y.first;
+                     [&](const SortKey& x, const SortKey& y) {
+                       return desc ? less(y, x) : less(x, y);
                      });
     std::vector<uint32_t> order;
     order.reserve(n_rows);
-    for (const auto& [_, i] : keyed) order.push_back(i);
+    for (const SortKey& k : keyed) order.push_back(k.row);
     // The permutation becomes the selection vector: an O(rows) reorder
     // with zero cell copies.
     b.table.KeepRows(std::move(order));
@@ -1327,27 +1369,30 @@ Result<Evaluator::Bindings> Evaluator::EvalSteps(
         if (lp.start_var.empty() && !lp.from_document &&
             lp.steps.size() == 1 && lp.steps[0].predicates.empty()) {
           const PathStep& ps = lp.steps[0];
-          if (ps.axis == Axis::kChild && !ps.tag.empty()) {
+          const bool by_child = ps.axis == Axis::kChild && !ps.tag.empty();
+          const bool by_self =
+              ps.axis == Axis::kSelf && ps.tag.empty() && !step.tag.empty();
+          if (by_child || by_self || ps.axis == Axis::kAttribute) {
             MCT_ASSIGN_OR_RETURN(ColorId pc, [&]() -> Result<ColorId> {
               if (ps.color.empty()) return cur_color;
               return ResolveColor(ps.color);
             }());
-            for (NodeId hit : db_->ContentLookup(ps.tag, lit)) {
-              auto parent = db_->Parent(hit, pc);
-              if (parent.has_value()) probe.insert(*parent);
-            }
             use_probe = true;
-          } else if (ps.axis == Axis::kAttribute) {
-            for (NodeId hit : db_->AttrLookup(ps.tag, lit)) {
-              probe.insert(hit);
+            // As in EvalRelPath, a predicate step into a read-invisible
+            // color selects nothing (DESIGN.md §16).
+            if (exec_.mask == nullptr || exec_.mask->CanRead(pc)) {
+              if (by_child) {
+                for (NodeId hit : db_->ContentLookup(ps.tag, lit)) {
+                  auto parent = db_->Parent(hit, pc);
+                  if (parent.has_value()) probe.insert(*parent);
+                }
+              } else {
+                for (NodeId hit : by_self ? db_->ContentLookup(step.tag, lit)
+                                          : db_->AttrLookup(ps.tag, lit)) {
+                  probe.insert(hit);
+                }
+              }
             }
-            use_probe = true;
-          } else if (ps.axis == Axis::kSelf && ps.tag.empty() &&
-                     !step.tag.empty()) {
-            for (NodeId hit : db_->ContentLookup(step.tag, lit)) {
-              probe.insert(hit);
-            }
-            use_probe = true;
           }
         }
       }
@@ -1370,93 +1415,100 @@ Result<Evaluator::Bindings> Evaluator::EvalSteps(
         // queries. Pure predicates fan out across the pool; the keep mask
         // preserves row order exactly.
         std::vector<char> mask(pred_rows_in, 0);
-        // Vectorized comparison: residuals of shape
+        // Vectorized comparison: predicates of shape
         // [{c}child::tag <cmp> literal] and [@a <cmp> literal] compare one
-        // extracted value per row against a constant. The interpreter
-        // re-resolves the color, allocates candidate vectors, and atomizes
-        // through the generic Item machinery on every row; this hoists all
-        // of that out of the loop. Only exact interpreter equivalents
-        // qualify (single relative step, no step predicates, atomic literal
-        // rhs — the node-identity branch of EvalBool cannot trigger). The
-        // mirrored form [literal <cmp> path] stays on the interpreter, which
-        // makes it this path's differential oracle.
+        // extracted value per node against a constant, parsed once. The
+        // interpreter re-resolves the color, allocates candidate vectors,
+        // and atomizes through the generic Item machinery on every row;
+        // this hoists all of that out of the loop. Only exact interpreter
+        // equivalents qualify (single relative step, no step predicates,
+        // atomic literal rhs — the node-identity branch of EvalBool cannot
+        // trigger). The mirrored form [literal <cmp> path] stays on the
+        // interpreter, which makes it this path's differential oracle.
         bool fast = false;
+        const PathExpr* lp = nullptr;
         if (pred->kind == Expr::Kind::kCompare &&
             (pred->children[1]->kind == Expr::Kind::kString ||
              pred->children[1]->kind == Expr::Kind::kNumber) &&
             pred->children[0]->kind == Expr::Kind::kPath) {
-          const PathExpr& lp = pred->children[0]->path;
-          if (lp.start_var.empty() && !lp.from_document &&
-              lp.steps.size() == 1 && lp.steps[0].predicates.empty()) {
-            const PathStep& ps = lp.steps[0];
-            const std::string lit =
-                pred->children[1]->kind == Expr::Kind::kString
-                    ? pred->children[1]->str
-                    : FormatNumber(pred->children[1]->num);
-            const CmpOp cmp = pred->cmp;
-            if (ps.axis == Axis::kChild && !ps.tag.empty()) {
-              ColorId pred_color = cur_color;
-              bool color_ok = true;
-              if (!ps.color.empty()) {
-                auto rc = ResolveColor(ps.color);
-                color_ok = rc.ok();
-                if (color_ok) pred_color = *rc;
-              }
-              if (color_ok) {
-                const size_t tag_count = db_->TagCount(pred_color, ps.tag);
-                if (tag_count <= pred_rows_in * 8) {
-                  // Selective tag: compare every tagged node once and
-                  // semi-join the parents, instead of walking each context
-                  // row's full child list (rows with many children — e.g.
-                  // an issue with hundreds of articles — pay one tag-index
-                  // pass instead of rows x fanout child visits).
-                  std::unordered_set<NodeId> hit_parents;
-                  for (NodeId v : db_->TagScan(pred_color, ps.tag)) {
-                    if (!CompareValues(cmp, Atomize(Item::OfNode(v)), lit)) {
-                      continue;
-                    }
-                    auto par = db_->Parent(v, pred_color);
-                    if (par.has_value()) hit_parents.insert(*par);
-                  }
-                  for (size_t i = 0; i < pred_rows_in; ++i) {
-                    mask[i] =
-                        hit_parents.contains(in.table.At(i, cur)) ? 1 : 0;
-                  }
-                } else {
-                  const ColoredTree* tree = db_->tree(pred_color);
-                  MCT_RETURN_IF_ERROR(
-                      ForRows(pred_rows_in, true, [&](size_t i) {
-                        NodeId n = in.table.At(i, cur);
-                        if (!db_->Colors(n).Has(pred_color)) {
-                          return Status::OK();
-                        }
-                        bool hit = false;
-                        tree->ForEachChild(n, [&](NodeId k) {
-                          if (hit ||
-                              db_->Kind(k) != xml::NodeKind::kElement ||
-                              db_->Tag(k) != ps.tag) {
-                            return;
-                          }
-                          if (CompareValues(cmp, Atomize(Item::OfNode(k)),
-                                            lit)) {
-                            hit = true;
-                          }
-                        });
-                        mask[i] = hit ? 1 : 0;
-                        return Status::OK();
-                      }));
+          lp = &pred->children[0]->path;
+        }
+        if (lp != nullptr && lp->start_var.empty() && !lp->from_document &&
+            lp->steps.size() == 1 && lp->steps[0].predicates.empty() &&
+            ((lp->steps[0].axis == Axis::kChild &&
+              !lp->steps[0].tag.empty()) ||
+             lp->steps[0].axis == Axis::kAttribute)) {
+          const PathStep& ps = lp->steps[0];
+          // An unknown color stays on the interpreter, which reports it.
+          Result<ColorId> rc = ps.color.empty() ? Result<ColorId>(cur_color)
+                                                : ResolveColor(ps.color);
+          fast = rc.ok();
+          const ColorId pred_color = rc.ok() ? *rc : cur_color;
+          const std::string lit_text =
+              pred->children[1]->kind == Expr::Kind::kString
+                  ? pred->children[1]->str
+                  : FormatNumber(pred->children[1]->num);
+          const Atom lit = ParseAtom(lit_text);
+          const CmpOp cmp = pred->cmp;
+          if (!fast ||
+              (exec_.mask != nullptr && !exec_.mask->CanRead(pred_color))) {
+            // Unknown color: the interpreter answers below. Read-invisible
+            // color: as in EvalRelPath, the predicate selects nothing.
+          } else if (ps.axis == Axis::kAttribute) {
+            MCT_RETURN_IF_ERROR(ForRows(pred_rows_in, true, [&](size_t i) {
+              const std::string* v =
+                  db_->FindAttr(in.table.At(i, cur), ps.tag);
+              mask[i] =
+                  v != nullptr && CompareAtoms(cmp, ParseAtom(*v), lit) ? 1
+                                                                         : 0;
+              return Status::OK();
+            }));
+          } else {
+            const ColoredTree* tree = db_->tree(pred_color);
+            const std::vector<NodeId>* tagged =
+                db_->TagPostings(pred_color, ps.tag);
+            const size_t tag_count = tagged == nullptr ? 0 : tagged->size();
+            if (tag_count <= pred_rows_in * 8) {
+              // Selective tag: compare every tagged node once, reading the
+              // posting list in place, and semi-join the parents, instead
+              // of walking each context row's full child list (rows with
+              // many children — e.g. an issue with hundreds of articles —
+              // pay one tag-index pass instead of rows x fanout child
+              // visits).
+              std::unordered_set<NodeId> hit_parents;
+              std::string scratch;
+              for (size_t t = 0; t < tag_count; ++t) {
+                const NodeId v = (*tagged)[t];
+                if (!CompareAtoms(
+                        cmp, ParseAtom(AtomText(Item::OfNode(v), &scratch)),
+                        lit)) {
+                  continue;
                 }
-                fast = true;
+                NodeId par = tree->Parent(v);
+                if (par != kInvalidNodeId) hit_parents.insert(par);
               }
-            } else if (ps.axis == Axis::kAttribute) {
+              for (size_t i = 0; i < pred_rows_in; ++i) {
+                mask[i] = hit_parents.contains(in.table.At(i, cur)) ? 1 : 0;
+              }
+            } else {
+              const NameId tag_id = db_->store().names().Lookup(ps.tag);
               MCT_RETURN_IF_ERROR(ForRows(pred_rows_in, true, [&](size_t i) {
-                const std::string* v =
-                    db_->FindAttr(in.table.At(i, cur), ps.tag);
-                mask[i] =
-                    v != nullptr && CompareValues(cmp, *v, lit) ? 1 : 0;
+                NodeId n = in.table.At(i, cur);
+                if (!db_->Colors(n).Has(pred_color)) return Status::OK();
+                bool hit = false;
+                std::string scratch;
+                tree->ForEachChild(n, [&](NodeId k) {
+                  if (hit || db_->Kind(k) != xml::NodeKind::kElement ||
+                      db_->TagId(k) != tag_id) {
+                    return;
+                  }
+                  hit = CompareAtoms(
+                      cmp, ParseAtom(AtomText(Item::OfNode(k), &scratch)),
+                      lit);
+                });
+                mask[i] = hit ? 1 : 0;
                 return Status::OK();
               }));
-              fast = true;
             }
           }
         }
@@ -1622,23 +1674,27 @@ std::optional<std::vector<NodeId>> Evaluator::SeekCandidates(
     return std::nullopt;
   }
   const PathStep& ps = lp.steps[0];
+  ColorId pc = step_color;
+  if (!ps.color.empty()) {
+    pc = db_->LookupColor(ps.color);
+    // Unknown color: fall back so the baseline probe raises the same
+    // error the unplanned pipeline would.
+    if (pc == kInvalidColorId) return std::nullopt;
+  }
+  // As in EvalRelPath, a predicate step into a read-invisible color selects
+  // nothing (DESIGN.md §16): no candidates.
+  const bool visible = exec_.mask == nullptr || exec_.mask->CanRead(pc);
   std::vector<NodeId> cands;
   if (ps.axis == Axis::kChild && !ps.tag.empty()) {
-    ColorId pc = step_color;
-    if (!ps.color.empty()) {
-      pc = db_->LookupColor(ps.color);
-      // Unknown color: fall back so the baseline probe raises the same
-      // error the unplanned pipeline would.
-      if (pc == kInvalidColorId) return std::nullopt;
-    }
+    if (!visible) return cands;
     for (NodeId hit : db_->ContentLookup(ps.tag, lit)) {
       std::optional<NodeId> par = db_->Parent(hit, pc);
       if (par.has_value()) cands.push_back(*par);
     }
   } else if (ps.axis == Axis::kAttribute) {
-    cands = db_->AttrLookup(ps.tag, lit);
+    if (visible) cands = db_->AttrLookup(ps.tag, lit);
   } else if (ps.axis == Axis::kSelf && ps.tag.empty() && !step.tag.empty()) {
-    cands = db_->ContentLookup(step.tag, lit);
+    if (visible) cands = db_->ContentLookup(step.tag, lit);
   } else {
     return std::nullopt;
   }
@@ -1877,32 +1933,343 @@ Result<Evaluator::Bindings> Evaluator::JoinIn(Bindings left, Bindings right,
 
 Status Evaluator::ApplyResidual(Bindings* b, const Expr& conjunct,
                                 const Env& env) {
-  // Residual where-conjuncts filter row by row; pure conjuncts fan out
-  // across the pool with an order-preserving keep mask.
+  // Residual where-conjuncts filter with an order-preserving keep mask: a
+  // comparison whose operands each read at most one column is answered
+  // from operand columns; any other conjunct (an `or`, an operand over two
+  // variables) runs row by row, fanning out across the pool when pure.
   const auto t0 = std::chrono::steady_clock::now();
   const size_t n = b->table.num_rows();
   std::vector<char> mask(n, 0);
-  MCT_RETURN_IF_ERROR(ForRows(n, IsPureExpr(conjunct), [&](size_t i) {
-    EvalCtx c;
-    c.b = b;
-    c.row = i;
-    c.env = &env;
-    MCT_ASSIGN_OR_RETURN(bool k, EvalBool(c, conjunct));
-    mask[i] = k ? 1 : 0;
-    return Status::OK();
-  }));
+  MCT_ASSIGN_OR_RETURN(std::optional<size_t> evals,
+                       CompareOperandColumns(*b, conjunct, env, &mask));
+  if (!evals.has_value()) {
+    MCT_RETURN_IF_ERROR(ForRows(n, IsPureExpr(conjunct), [&](size_t i) {
+      EvalCtx c;
+      c.b = b;
+      c.row = i;
+      c.env = &env;
+      MCT_ASSIGN_OR_RETURN(bool k, EvalBool(c, conjunct));
+      mask[i] = k ? 1 : 0;
+      return Status::OK();
+    }));
+  }
   std::vector<uint32_t> keep;
   for (size_t i = 0; i < n; ++i) {
     if (mask[i]) keep.push_back(static_cast<uint32_t>(i));
   }
   if (exec_.trace != nullptr) {
-    query::OpTrace* tn = exec_.trace->Leaf("FILTER", "residual");
+    query::OpTrace* tn = exec_.trace->Leaf(
+        "FILTER", evals.has_value()
+                      ? StrFormat("residual, %zu operand evaluations", *evals)
+                      : std::string("residual"));
     tn->rows_in = n;
     tn->rows_out = keep.size();
     tn->seconds = SecondsSince(t0);
   }
   b->table.KeepRows(std::move(keep));
   return Status::OK();
+}
+
+// ---------------------------------------------------------------------------
+// Residual comparisons over operand columns
+// ---------------------------------------------------------------------------
+
+// The atomized values of one morsel of an operand's slots.
+struct Evaluator::OperandValues {
+  // One atomized item: its node (kInvalidNodeId for an atomic item), its
+  // text (a range of `text`) and its number, when the text parses as one.
+  struct Value {
+    NodeId node;
+    uint32_t text_begin;
+    uint32_t text_size;
+    bool has_num;
+    double num;
+  };
+  // Local slot s owns values [begin[s], begin[s + 1]).
+  std::vector<uint32_t> begin{0};
+  std::vector<Value> values;
+  std::string text;
+
+  Status Append(NodeId node, std::string_view t) {
+    if (text.size() + t.size() > UINT32_MAX) {
+      return Status::ResourceExhausted(
+          "operand values exceed 4 GiB of text in one morsel");
+    }
+    const std::optional<double> num = ParseDouble(t);
+    values.push_back(Value{node, static_cast<uint32_t>(text.size()),
+                           static_cast<uint32_t>(t.size()), num.has_value(),
+                           num.value_or(0)});
+    text.append(t);
+    return Status::OK();
+  }
+  Atom AtomOf(const Value& v) const {
+    return Atom{std::string_view(text).substr(v.text_begin, v.text_size),
+                v.has_num ? std::optional<double>(v.num) : std::nullopt};
+  }
+  size_t bytes() const {
+    return begin.capacity() * sizeof(uint32_t) +
+           values.capacity() * sizeof(Value) + text.capacity();
+  }
+
+  /// Existential comparison of local slot `sa` of `a` against local slot
+  /// `sb` of `b`, by EvalBool's rules: an empty operand matches nothing.
+  static bool AnyPairMatches(CmpOp op, const OperandValues& a, uint32_t sa,
+                             const OperandValues& b, uint32_t sb) {
+    for (uint32_t i = a.begin[sa]; i < a.begin[sa + 1]; ++i) {
+      const Value& x = a.values[i];
+      for (uint32_t j = b.begin[sb]; j < b.begin[sb + 1]; ++j) {
+        const Value& y = b.values[j];
+        if (ComparePair(
+                op, x.node, y.node, [&] { return a.AtomOf(x); },
+                [&] { return b.AtomOf(y); })) {
+          return true;
+        }
+      }
+    }
+    return false;
+  }
+};
+
+namespace {
+
+// Dictionary of the nodes of one or two binding columns: open addressing
+// from NodeId to a dense slot per distinct node, so its size follows the
+// distinct count and never the NodeId range.
+class NodeSlots {
+ public:
+  static constexpr uint32_t kNone = 0xFFFFFFFFu;
+
+  /// The slot of `n`; kNone when `n` was never added.
+  uint32_t Find(NodeId n) const {
+    for (size_t i = Home(n);; i = (i + 1) & (keys_.size() - 1)) {
+      if (slots_[i] == kNone || keys_[i] == n) return slots_[i];
+    }
+  }
+  /// Adds `n` as slot size() unless present; true when added.
+  bool Add(NodeId n) {
+    if (2 * (nodes_.size() + 1) > keys_.size()) Grow();
+    for (size_t i = Home(n);; i = (i + 1) & (keys_.size() - 1)) {
+      if (slots_[i] == kNone) {
+        keys_[i] = n;
+        slots_[i] = static_cast<uint32_t>(nodes_.size());
+        nodes_.push_back(n);
+        return true;
+      }
+      if (keys_[i] == n) return false;
+    }
+  }
+  size_t size() const { return nodes_.size(); }
+  /// Renumbers the slots in ascending NodeId order; returns the old slot
+  /// of each new one.
+  std::vector<uint32_t> SortByNode() {
+    std::vector<uint32_t> order(nodes_.size());
+    for (uint32_t s = 0; s < order.size(); ++s) order[s] = s;
+    std::sort(order.begin(), order.end(),
+              [&](uint32_t a, uint32_t b) { return nodes_[a] < nodes_[b]; });
+    std::vector<uint32_t> rank(order.size());
+    std::vector<NodeId> sorted(order.size());
+    for (uint32_t s = 0; s < order.size(); ++s) {
+      rank[order[s]] = s;
+      sorted[s] = nodes_[order[s]];
+    }
+    nodes_ = std::move(sorted);
+    for (uint32_t& slot : slots_) {
+      if (slot != kNone) slot = rank[slot];
+    }
+    return order;
+  }
+  size_t bytes() const {
+    return keys_.capacity() * sizeof(NodeId) +
+           slots_.capacity() * sizeof(uint32_t) +
+           nodes_.capacity() * sizeof(NodeId);
+  }
+
+ private:
+  size_t Home(NodeId n) const {
+    return static_cast<size_t>((uint64_t{n} * 0x9E3779B97F4A7C15ull) >>
+                               shift_);
+  }
+  // Doubles the table (from 64 entries), keeping the load at most 1/2.
+  void Grow() {
+    const size_t cap = keys_.empty() ? 64 : 2 * keys_.size();
+    shift_ = 64 - static_cast<int>(__builtin_ctzll(cap));
+    keys_.assign(cap, kInvalidNodeId);
+    slots_.assign(cap, kNone);
+    for (uint32_t s = 0; s < nodes_.size(); ++s) {
+      size_t i = Home(nodes_[s]);
+      while (slots_[i] != kNone) i = (i + 1) & (cap - 1);
+      keys_[i] = nodes_[s];
+      slots_[i] = s;
+    }
+  }
+
+  std::vector<NodeId> keys_;
+  std::vector<uint32_t> slots_;
+  std::vector<NodeId> nodes_;  // slot -> node
+  int shift_ = 64;
+};
+
+// The relative steps of an operand over one column, printed: "" for a bare
+// variable, the path after its variable; nullopt for any other shape.
+std::optional<std::string> RelativeSteps(const Expr& e) {
+  if (e.kind == Expr::Kind::kVarRef) return std::string();
+  if (e.kind != Expr::Kind::kPath || e.path.start_var.empty()) {
+    return std::nullopt;
+  }
+  return Print(e.path).substr(e.path.start_var.size());
+}
+
+}  // namespace
+
+Result<std::optional<size_t>> Evaluator::CompareOperandColumns(
+    const Bindings& b, const Expr& e, const Env& env,
+    std::vector<char>* keep) {
+  if (e.kind != Expr::Kind::kCompare) return std::optional<size_t>();
+  // Each operand is variable-free (column -1) or a pure expression over
+  // exactly one bound column.
+  const Expr* const ops[2] = {e.children[0].get(), e.children[1].get()};
+  int cols[2] = {-1, -1};
+  for (int k = 0; k < 2; ++k) {
+    if (!IsPureExpr(*ops[k])) return std::optional<size_t>();
+    std::vector<std::string> vars;
+    CollectVars(*ops[k], &vars);
+    if (vars.empty()) continue;
+    for (const std::string& v : vars) {
+      if (v != vars[0]) return std::optional<size_t>();
+    }
+    cols[k] = b.table.ColumnOf(vars[0]);
+    if (cols[k] < 0) return std::optional<size_t>();
+  }
+  const size_t n = b.table.num_rows();
+  if (n == 0) return std::optional<size_t>(0);
+
+  // Two operands share one dictionary, and so one evaluation per node, when
+  // they apply identical steps to columns reached alike.
+  bool shared = false;
+  if (cols[0] >= 0 && cols[1] >= 0) {
+    const ColumnInfo& c0 = b.cols[static_cast<size_t>(cols[0])];
+    const ColumnInfo& c1 = b.cols[static_cast<size_t>(cols[1])];
+    const std::optional<std::string> steps0 = RelativeSteps(*ops[0]);
+    shared = c0.color == c1.color && c0.atomic == c1.atomic &&
+             c0.attr == c1.attr && steps0.has_value() &&
+             steps0 == RelativeSteps(*ops[1]);
+  }
+
+  // Dictionary-encode each column: a slot per distinct node, with the row
+  // and operand that first reached it, where that node is evaluated. A
+  // variable-free operand has one slot, evaluated at row 0.
+  struct Dictionary {
+    NodeSlots slots;
+    std::vector<uint32_t> rows;
+    std::vector<uint8_t> sides;
+    int shift = 0;  // slot s is local slot s & (2^shift - 1) of part s >> shift
+    std::vector<OperandValues> parts;
+  };
+  Dictionary dicts[2];
+  ResourceGovernor* gov = exec_.governor;
+  const size_t poll = opts_.morsel_size != 0 ? opts_.morsel_size : n;
+  for (int k = 0; k < 2; ++k) {
+    Dictionary& d = dicts[shared ? 0 : k];
+    if (cols[k] < 0) {
+      d.rows.push_back(0);
+      d.sides.push_back(static_cast<uint8_t>(k));
+      continue;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      if (gov != nullptr && i != 0 && i % poll == 0) {
+        MCT_RETURN_IF_ERROR(gov->Check());
+      }
+      if (d.slots.Add(b.table.At(i, cols[k]))) {
+        d.rows.push_back(static_cast<uint32_t>(i));
+        d.sides.push_back(static_cast<uint8_t>(k));
+      }
+    }
+  }
+  size_t evals = 0;
+  for (int k = 0; k < (shared ? 1 : 2); ++k) {
+    Dictionary& d = dicts[k];
+    if (d.slots.size() != 0) {
+      // Evaluate in ascending NodeId order.
+      const std::vector<uint32_t> order = d.slots.SortByNode();
+      std::vector<uint32_t> rows(order.size());
+      std::vector<uint8_t> sides(order.size());
+      for (size_t s = 0; s < order.size(); ++s) {
+        rows[s] = d.rows[order[s]];
+        sides[s] = d.sides[order[s]];
+      }
+      d.rows = std::move(rows);
+      d.sides = std::move(sides);
+    }
+    if (gov != nullptr) {
+      MCT_RETURN_IF_ERROR(gov->Charge(d.slots.bytes() +
+                                      d.rows.capacity() * sizeof(uint32_t) +
+                                      d.sides.capacity()));
+    }
+    MCT_RETURN_IF_ERROR(
+        EvalOperandSlots(b, env, ops, d.rows, d.sides, &d.shift, &d.parts));
+    evals += d.rows.size();
+  }
+
+  const Dictionary& l = dicts[0];
+  const Dictionary& r = dicts[shared ? 0 : 1];
+  MCT_RETURN_IF_ERROR(ForRows(n, true, [&](size_t i) {
+    const uint32_t sl = cols[0] < 0 ? 0 : l.slots.Find(b.table.At(i, cols[0]));
+    const uint32_t sr = cols[1] < 0 ? 0 : r.slots.Find(b.table.At(i, cols[1]));
+    (*keep)[i] = OperandValues::AnyPairMatches(
+                     e.cmp, l.parts[sl >> l.shift],
+                     sl & ((uint32_t{1} << l.shift) - 1),
+                     r.parts[sr >> r.shift],
+                     sr & ((uint32_t{1} << r.shift) - 1))
+                     ? 1
+                     : 0;
+    return Status::OK();
+  }));
+  return std::optional<size_t>(evals);
+}
+
+Status Evaluator::EvalOperandSlots(const Bindings& b, const Env& env,
+                                   const Expr* const exprs[2],
+                                   const std::vector<uint32_t>& rows,
+                                   const std::vector<uint8_t>& sides,
+                                   int* shift,
+                                   std::vector<OperandValues>* parts) {
+  // One part per morsel of 2^shift slots, so workers never share an output
+  // and a slot finds its part by a shift.
+  const size_t slots = rows.size();
+  const size_t per_part = std::min<size_t>(
+      size_t{1} << 31, opts_.morsel_size != 0
+                           ? std::bit_floor(opts_.morsel_size)
+                           : std::bit_ceil(std::max<size_t>(1, slots)));
+  *shift = std::countr_zero(per_part);
+  parts->resize((slots + per_part - 1) / per_part);
+  return ForRows(
+      parts->size(), true,
+      [&](size_t m) {
+        OperandValues& part = (*parts)[m];
+        const size_t first = m * per_part;
+        const size_t end = std::min(slots, first + per_part);
+        part.begin.reserve(end - first + 1);
+        part.values.reserve(end - first);
+        std::string scratch;
+        for (size_t s = first; s < end; ++s) {
+          EvalCtx c;
+          c.b = &b;
+          c.row = rows[s];
+          c.env = &env;
+          MCT_ASSIGN_OR_RETURN(std::vector<Item> items,
+                               EvalExpr(c, *exprs[sides[s]]));
+          for (const Item& it : items) {
+            MCT_RETURN_IF_ERROR(part.Append(
+                it.is_node ? it.node : kInvalidNodeId, AtomText(it, &scratch)));
+          }
+          part.begin.push_back(static_cast<uint32_t>(part.values.size()));
+        }
+        if (exec_.governor != nullptr) {
+          return exec_.governor->Charge(part.bytes());
+        }
+        return Status::OK();
+      },
+      /*morsel_override=*/1);
 }
 
 // ---------------------------------------------------------------------------
@@ -1928,6 +2295,14 @@ std::string Evaluator::Atomize(const Item& item) const {
   ColorSet colors = db_->Colors(item.node);
   if (colors.empty()) return "";
   return db_->StringValue(item.node, colors.ToVector().front()).value_or("");
+}
+
+std::string_view Evaluator::AtomText(const Item& item,
+                                     std::string* scratch) const {
+  if (!item.is_node) return item.atomic;
+  if (db_->store().HasContent(item.node)) return db_->Content(item.node);
+  *scratch = Atomize(item);
+  return *scratch;
 }
 
 Result<std::vector<Item>> Evaluator::EvalRelPath(NodeId ctx,
@@ -2243,20 +2618,29 @@ Result<bool> Evaluator::EvalBool(const EvalCtx& c, const Expr& e) {
     case Expr::Kind::kCompare: {
       MCT_ASSIGN_OR_RETURN(auto lhs, EvalExpr(c, *e.children[0]));
       MCT_ASSIGN_OR_RETURN(auto rhs, EvalExpr(c, *e.children[1]));
-      // Node-vs-node equality is identity (the `[. = $m]` correlation of
-      // Figure 3's Q3); otherwise existential comparison on atomized
-      // values.
-      for (const Item& l : lhs) {
-        for (const Item& r : rhs) {
-          bool match;
-          if (l.is_node && r.is_node &&
-              (e.cmp == CmpOp::kEq || e.cmp == CmpOp::kNe)) {
-            match = (e.cmp == CmpOp::kEq) ? l.node == r.node
-                                          : l.node != r.node;
-          } else {
-            match = CompareValues(e.cmp, Atomize(l), Atomize(r));
+      // Existential comparison: some pair matches. Each item is atomized
+      // and parsed at most once, when a pair first compares it by value (a
+      // node's string value lands in its unused `atomic`).
+      std::vector<std::optional<Atom>> atoms(lhs.size() + rhs.size());
+      auto atom = [&](Item& item, size_t k) -> const Atom& {
+        if (!atoms[k].has_value()) {
+          atoms[k] = ParseAtom(AtomText(item, &item.atomic));
+        }
+        return *atoms[k];
+      };
+      auto node = [](const Item& item) {
+        return item.is_node ? item.node : kInvalidNodeId;
+      };
+      for (size_t i = 0; i < lhs.size(); ++i) {
+        for (size_t j = 0; j < rhs.size(); ++j) {
+          if (ComparePair(
+                  e.cmp, node(lhs[i]), node(rhs[j]),
+                  [&]() -> const Atom& { return atom(lhs[i], i); },
+                  [&]() -> const Atom& {
+                    return atom(rhs[j], lhs.size() + j);
+                  })) {
+            return true;
           }
-          if (match) return true;
         }
       }
       return false;

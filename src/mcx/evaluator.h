@@ -258,6 +258,26 @@ class Evaluator {
   Result<Bindings> JoinIn(Bindings left, Bindings right, const Expr* conjunct,
                           const Env& env);
   Status ApplyResidual(Bindings* b, const Expr& conjunct, const Env& env);
+  /// The atomized values of one morsel of a comparison operand's slots, one
+  /// slot per distinct node of its column (defined in evaluator.cc).
+  struct OperandValues;
+  /// Answers comparison conjunct `e` from operand columns (DESIGN.md §13)
+  /// when each operand is variable-free or a pure expression over one bound
+  /// column: the operand is evaluated once per distinct node of its column,
+  /// then every row compares the stored values. Sets (*keep)[row] and
+  /// returns the number of operand evaluations; nullopt when `e` does not
+  /// qualify, and the caller runs the per-row loop.
+  Result<std::optional<size_t>> CompareOperandColumns(const Bindings& b,
+                                                      const Expr& e,
+                                                      const Env& env,
+                                                      std::vector<char>* keep);
+  /// Evaluates operand `exprs[sides[s]]` at row `rows[s]` of `b` for every
+  /// slot s, one part of `parts` per morsel of 2^`shift` slots.
+  Status EvalOperandSlots(const Bindings& b, const Env& env,
+                          const Expr* const exprs[2],
+                          const std::vector<uint32_t>& rows,
+                          const std::vector<uint8_t>& sides, int* shift,
+                          std::vector<OperandValues>* parts);
 
   // Scalar/per-row evaluation context: the current binding row (if any),
   // the outer variable environment, and a context node for relative paths.
@@ -281,6 +301,10 @@ class Evaluator {
   /// Reads the value of a bound variable column for a logical row.
   Item ColumnItem(const Bindings& b, size_t row, int col) const;
   std::string Atomize(const Item& item) const;
+  /// Atomize without a copy where the text is resident: an atomic item's
+  /// value or a node's own content is viewed in place; any other node's
+  /// string value is stored into `*scratch` and viewed there.
+  std::string_view AtomText(const Item& item, std::string* scratch) const;
 
   Result<std::vector<Item>> EvalFLWOR(const Expr& flwor, const Env& env);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -1355,59 +1354,6 @@ Table Project(Table&& in, const std::vector<int>& cols) {
   in.vars.clear();
   in.cols.clear();
   in.use_sel = false;
-  return out;
-}
-
-Table SortRowsBy(const MctDatabase& db, const Table& in, int col,
-                 const KeySpec& key, bool descending, const ExecContext& ctx) {
-  // Decorate-sort: extract every key once (morsel-parallel — extraction is
-  // the expensive part), then a serial stable sort of row indices, so the
-  // result is identical to sorting rows with per-comparison extraction.
-  OpScope tr(ctx, "SORT", in.num_rows());
-  if (tr.enabled()) {
-    tr.set_detail(StrFormat("by %s%s",
-                            in.vars[static_cast<size_t>(col)].c_str(),
-                            descending ? " desc" : ""));
-  }
-  const size_t n = in.num_rows();
-  auto key_less = [](std::string_view ka, std::string_view kb) {
-    auto na = ParseDouble(ka), nb = ParseDouble(kb);
-    if (na.has_value() && nb.has_value()) return *na < *nb;
-    return ka < kb;
-  };
-  std::vector<uint32_t> order(n);
-  std::iota(order.begin(), order.end(), uint32_t{0});
-  auto sort_order = [&](const auto& keys) {
-    std::stable_sort(order.begin(), order.end(),
-                     [&](uint32_t a, uint32_t b) {
-                       return descending ? key_less(keys[b], keys[a])
-                                         : key_less(keys[a], keys[b]);
-                     });
-  };
-  size_t morsels;
-  if (KeySpecViewable(key)) {
-    // Viewable keys sort as views into the node store: extraction writes a
-    // pointer pair per row instead of copying every key string.
-    std::vector<std::string_view> keys(n);
-    morsels = ForEachMorsel(ctx, n, [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        keys[i] = ExtractKeyView(db, in.At(i, col), key)
-                      .value_or(std::string_view());
-      }
-    });
-    sort_order(keys);
-  } else {
-    std::vector<std::string> keys(n);
-    morsels = ForEachMorsel(ctx, n, [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        keys[i] = ExtractKey(db, in.At(i, col), key).value_or("");
-      }
-    });
-    sort_order(keys);
-  }
-  Table out = Table::WithVars(in.vars);
-  CountBatches(tr, morsels + GatherColumns(ctx, in, order, &out, 0));
-  if (tr.enabled()) tr.Finish(out.num_rows(), morsels);
   return out;
 }
 

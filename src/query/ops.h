@@ -37,7 +37,6 @@
 //   IdentityJoin        join two tables on node identity of two columns
 //   FilterRows          predicate filter
 //   DupElim             duplicate elimination on a column subset
-//   SortRowsBy          order by an extracted key
 
 #ifndef COLORFUL_XML_QUERY_OPS_H_
 #define COLORFUL_XML_QUERY_OPS_H_
@@ -221,14 +220,6 @@ Table DupElim(Table&& in, const std::vector<int>& cols,
 /// vector, when active, carries over untouched).
 Table Project(const Table& in, const std::vector<int>& cols);
 Table Project(Table&& in, const std::vector<int>& cols);
-
-/// Stable-sorts rows by the key extracted from `col` (numeric when both
-/// keys parse as numbers, else lexicographic). With a pool, key extraction
-/// (the expensive part) is parallel; the sort itself stays serial and
-/// stable, so the output order is unchanged.
-Table SortRowsBy(const MctDatabase& db, const Table& in, int col,
-                 const KeySpec& key, bool descending = false,
-                 const ExecContext& ctx = {});
 
 }  // namespace mct::query
 

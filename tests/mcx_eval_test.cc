@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "mcx/evaluator.h"
@@ -393,6 +395,40 @@ TEST(EvalTest, OrderByNameDescending) {
   ASSERT_EQ(r.items.size(), 3u);
   EXPECT_EQ(r.items[0].node, f.movie_sunset);  // Sunset > City > All
   EXPECT_EQ(r.items[2].node, f.movie_eve);
+}
+
+// Keys that mix numbers and other strings sort by one strict weak order —
+// numbers by value first, then the rest by string — whatever order the
+// rows arrive in. (Comparing two keys as numbers when both parse and as
+// strings otherwise is a cycle here: 9 < 10 < "1a" < "9".)
+TEST(EvalTest, OrderByMixedKeysIgnoresInputOrder) {
+  std::vector<std::string> keys = {"10", "1a", "9"};
+  do {
+    MctDatabase db;
+    const ColorId c = db.RegisterColor("c").value();
+    for (const std::string& k : keys) {
+      const NodeId n = db.CreateElement(c, db.document(), "k").value();
+      ASSERT_TRUE(db.SetContent(n, k).ok());
+    }
+    EvalOptions o;
+    o.default_color = c;
+    Evaluator ev(&db, o);
+    auto sorted = [&](const char* direction) {
+      QueryResult r = MustRun(
+          ev, std::string("for $k in document(\"d\")/{c}descendant::k "
+                          "order by $k") +
+                  direction + " return $k");
+      std::vector<std::string> out;
+      for (const Item& i : r.items) out.push_back(db.Content(i.node));
+      return out;
+    };
+    const std::string input = keys[0] + "," + keys[1] + "," + keys[2];
+    EXPECT_EQ(sorted(""), (std::vector<std::string>{"9", "10", "1a"}))
+        << "input " << input;
+    EXPECT_EQ(sorted(" descending"),
+              (std::vector<std::string>{"1a", "10", "9"}))
+        << "input " << input;
+  } while (std::next_permutation(keys.begin(), keys.end()));
 }
 
 TEST(EvalTest, CountFunction) {

@@ -397,30 +397,6 @@ TEST(ProjectTest, ReordersColumns) {
   EXPECT_EQ(p.RowAt(0), (std::vector<NodeId>{3, 1}));
 }
 
-TEST(SortTest, NumericAndLexicographic) {
-  MovieDb f = BuildMovieDb();
-  ExecStats stats;
-  Table movies = TagScanTable(f.db.get(), f.green, "$m", "movie", &stats);
-  KeySpec votes = KeySpec::ChildContent(f.green, "votes");
-  Table asc = SortRowsBy(*f.db, movies, 0, votes);
-  // 8 before 14 numerically.
-  EXPECT_EQ(asc.ToRows(), (Rows{{f.movie_sunset}, {f.movie_eve}}));
-  Table desc = SortRowsBy(*f.db, movies, 0, votes, /*descending=*/true);
-  EXPECT_EQ(desc.ToRows(), (Rows{{f.movie_eve}, {f.movie_sunset}}));
-  // Lexicographic on names: "All..." < "Sunset...".
-  Table by_name =
-      SortRowsBy(*f.db, movies, 0, KeySpec::ChildContent(f.green, "name"));
-  EXPECT_EQ(by_name.ToRows(), (Rows{{f.movie_eve}, {f.movie_sunset}}));
-  // Selected input (City Lights dropped), descending by red name.
-  Table red = TagScanTable(f.db.get(), f.red, "$m", "movie", &stats);
-  Table sel = Selected(red, [&](NodeId m) { return m != f.movie_lights; });
-  EXPECT_EQ(SortRowsBy(*f.db, sel, 0, KeySpec::ChildContent(f.red, "name"),
-                       /*descending=*/true)
-                .ToRows(),
-            (Rows{{f.movie_sunset}, {f.movie_eve}}));
-  EXPECT_EQ(stats, (ExecStats{.rows_scanned = 5}));
-}
-
 // Property: ExpandDescendants agrees with a naive O(n*m) oracle on random
 // trees of varying shapes.
 class StructuralJoinProperty : public testing::TestWithParam<uint64_t> {};
@@ -564,9 +540,6 @@ TEST(ParallelDeterminismTest, MovieFixtureOperators) {
     return FilterRows(
         movies, [&](size_t r) { return movies.At(r, 0) != f.movie_lights; },
         ctx);
-  });
-  ExpectParallelMatchesSerial([&](const ExecContext& ctx) {
-    return SortRowsBy(*db, green, 0, votes, /*descending=*/false, ctx);
   });
 }
 
